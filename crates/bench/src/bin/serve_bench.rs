@@ -10,8 +10,11 @@
 //!    reference server. One row per wire round-trip, no cross-request
 //!    batching possible.
 //! 2. **reactor** — pipelined loadgen (8 in flight per connection)
-//!    against the event-driven server. The submission-queue scheduler
-//!    coalesces rows from all connections into micro-batches.
+//!    against the event-driven server. The rows are warm (the baseline
+//!    run cached them in the shared registry), so the reactor answers
+//!    them cache-first on its handler threads; cross-connection
+//!    coalescing of cold rows is gated by the `reactor_e2e` test
+//!    `concurrent_single_row_traffic_forms_cross_connection_batches`.
 //! 3. **overload** — open-loop loadgen at well past capacity against a
 //!    deliberately small dispatch queue: the point is that the server
 //!    sheds with fast 503s (`shed > 0`) instead of queueing until
@@ -48,7 +51,6 @@ struct ServeCell {
     p90_us: f64,
     p95_us: f64,
     p99_us: f64,
-    batch_occupancy_mean: f64,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,7 +73,7 @@ struct ServeReport {
     speedup: f64,
 }
 
-fn cell(server: &str, report: &LoadReport, occupancy: f64) -> ServeCell {
+fn cell(server: &str, report: &LoadReport) -> ServeCell {
     ServeCell {
         server: server.to_string(),
         mode: report.mode.clone(),
@@ -84,19 +86,12 @@ fn cell(server: &str, report: &LoadReport, occupancy: f64) -> ServeCell {
         p90_us: report.p90_us,
         p95_us: report.p95_us,
         p99_us: report.p99_us,
-        batch_occupancy_mean: occupancy,
     }
 }
 
-/// Drive one loadgen run and return the report plus the server-side
-/// batch-occupancy mean (submissions per flush) over the run's window.
-fn drive(addr: &str, mode: LoadMode, seconds: f64) -> (LoadReport, f64) {
-    let scrape = |a: &str| {
-        let mut c = loadgen::HttpClient::connect(a).expect("scrape connection");
-        loadgen::MetricsScrape::fetch(&mut c).expect("metrics scrape")
-    };
-    let before = scrape(addr);
-    let report = loadgen::run(&LoadgenOptions {
+/// Drive one loadgen run of 1-row requests against `addr`.
+fn drive(addr: &str, mode: LoadMode, seconds: f64) -> LoadReport {
+    loadgen::run(&LoadgenOptions {
         addrs: vec![addr.to_string()],
         workload: WorkloadId::get("fmm-small").expect("builtin"),
         kind: ModelKind::Hybrid,
@@ -107,21 +102,13 @@ fn drive(addr: &str, mode: LoadMode, seconds: f64) -> (LoadReport, f64) {
         pool: POOL,
         mode,
     })
-    .expect("loadgen run");
-    let after = scrape(addr);
-    let (c0, s0) = before.histogram_totals("lam_batch_occupancy", None);
-    let (c1, s1) = after.histogram_totals("lam_batch_occupancy", None);
-    let occupancy = match c1.saturating_sub(c0) {
-        0 => 0.0,
-        flushes => s1.saturating_sub(s0) as f64 / flushes as f64,
-    };
-    (report, occupancy)
+    .expect("loadgen run")
 }
 
 fn print_cell(c: &ServeCell) {
     println!(
-        "  {:>18} {:>14} | {:>12.0} preds/s  p50 {:>6.0}us  p99 {:>7.0}us  shed {:>5}  occupancy {:.2}",
-        c.server, c.mode, c.throughput_preds_per_s, c.p50_us, c.p99_us, c.shed, c.batch_occupancy_mean
+        "  {:>18} {:>14} | {:>12.0} preds/s  p50 {:>6.0}us  p99 {:>7.0}us  shed {:>5}",
+        c.server, c.mode, c.throughput_preds_per_s, c.p50_us, c.p99_us, c.shed
     );
 }
 
@@ -161,9 +148,9 @@ fn main() {
         let handle = reference::start_reference(Arc::clone(&registry), opts.clone())
             .expect("reference server binds");
         let addr = handle.local_addr().to_string();
-        let (report, occupancy) = drive(&addr, LoadMode::Closed, seconds);
+        let report = drive(&addr, LoadMode::Closed, seconds);
         handle.stop();
-        cell("threaded (seed)", &report, occupancy)
+        cell("threaded (seed)", &report)
     };
     print_cell(&threaded);
 
@@ -173,9 +160,9 @@ fn main() {
         let handle = http::start_with(Arc::clone(&registry), ServeConfig::new(opts.clone()))
             .expect("reactor binds");
         let addr = handle.local_addr().to_string();
-        let (report, occupancy) = drive(&addr, LoadMode::Pipeline(PIPELINE), seconds);
+        let report = drive(&addr, LoadMode::Pipeline(PIPELINE), seconds);
         handle.stop();
-        cell("reactor", &report, occupancy)
+        cell("reactor", &report)
     };
     print_cell(&reactor);
 
@@ -187,9 +174,9 @@ fn main() {
         let handle = http::start_with(Arc::clone(&registry), cfg).expect("reactor binds");
         let addr = handle.local_addr().to_string();
         let offered = (reactor.throughput_preds_per_s * 3.0).max(10_000.0);
-        let (report, occupancy) = drive(&addr, LoadMode::OpenLoop { rps: offered }, seconds);
+        let report = drive(&addr, LoadMode::OpenLoop { rps: offered }, seconds);
         handle.stop();
-        cell("reactor (overload)", &report, occupancy)
+        cell("reactor (overload)", &report)
     };
     print_cell(&overload);
 

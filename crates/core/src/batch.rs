@@ -12,6 +12,11 @@
 //! order preserving (results are stitched back in input order), so
 //! response position `i` always answers request row `i`.
 //!
+//! Serving reads the cache first: [`BatchEngine::predict_if_cached`]
+//! answers a request on the calling thread when every row hits, so only
+//! requests with at least one miss pay for cross-request coalescing in the
+//! [`BatchScheduler`] (a warm request has no model work to share).
+//!
 //! This module lives in `lam-core` (not the serving crate) because it has
 //! two independent consumers: `lam-serve`'s `/predict` path and
 //! `lam-tune`'s model-guided search strategies, which score whole
@@ -94,15 +99,19 @@ impl PredictionCache {
         &self.shards[(key_hash(key) % self.shards.len() as u64) as usize]
     }
 
-    /// Cached prediction for `row`, if present. Counts a hit or miss.
-    pub fn get(&self, row: &[f64]) -> Option<f64> {
+    /// Cached prediction for `row`, if present, without counting.
+    fn peek(&self, row: &[f64]) -> Option<f64> {
         let key = row_key(row);
-        let found = self
-            .shard(&key)
+        self.shard(&key)
             .lock()
             .expect("cache poisoned")
             .get(&key)
-            .copied();
+            .copied()
+    }
+
+    /// Cached prediction for `row`, if present. Counts a hit or miss.
+    pub fn get(&self, row: &[f64]) -> Option<f64> {
+        let found = self.peek(row);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -383,6 +392,32 @@ impl BatchEngine {
             predictions,
             cache_hits,
         }
+    }
+
+    /// All-or-nothing cache read: the cached predictions of `rows`, in
+    /// request order, when **every** row hits; `None` at the first miss.
+    ///
+    /// An answer counts its hits once, in [`CacheStats`] and (when
+    /// recording is on) in `lam_cache_hits_total{scope}`. `None` counts
+    /// and inserts nothing, so whatever the caller falls back to
+    /// ([`BatchEngine::predict`], a [`BatchScheduler`] submission)
+    /// accounts the request exactly as if this lookup never ran. A cache
+    /// entry is the value the model computed for that key, so an answer
+    /// here is bit-identical to one from [`BatchEngine::predict`].
+    pub fn predict_if_cached(&self, rows: &[Vec<f64>]) -> Option<BatchOutcome> {
+        let predictions = rows
+            .iter()
+            .map(|row| self.cache.peek(row))
+            .collect::<Option<Vec<f64>>>()?;
+        let cache_hits = rows.len() as u64;
+        self.cache.hits.fetch_add(cache_hits, Ordering::Relaxed);
+        if lam_obs::enabled() {
+            self.metrics.hits.add(cache_hits);
+        }
+        Some(BatchOutcome {
+            predictions,
+            cache_hits,
+        })
     }
 
     /// Like [`BatchEngine::predict`], but also returns one cache-hit flag
@@ -989,6 +1024,60 @@ mod tests {
             )
             .snapshot();
         assert_eq!(lookups.count(), 3);
+    }
+
+    #[test]
+    fn cached_lookup_answers_all_hit_requests_and_counts_once() {
+        let scope = "batch-if-cached-hit-selftest";
+        let engine = BatchEngine::scoped(8, 4, scope);
+        let warm = rows(20);
+        let cold = engine.predict(&Toy, &warm);
+        let stats = engine.cache().stats();
+        let hits = lam_obs::global().counter("lam_cache_hits_total", "", &[("scope", scope)]);
+        let hits_before = hits.get();
+        // Any order, duplicates included: every row is cached.
+        let request = vec![warm[7].clone(), warm[0].clone(), warm[7].clone()];
+        let out = engine.predict_if_cached(&request).expect("every row hits");
+        assert_eq!(
+            out.predictions,
+            vec![
+                cold.predictions[7],
+                cold.predictions[0],
+                cold.predictions[7]
+            ]
+        );
+        assert_eq!(out.cache_hits, request.len() as u64);
+        let after = engine.cache().stats();
+        assert_eq!(after.hits - stats.hits, request.len() as u64);
+        assert_eq!(after.misses, stats.misses);
+        assert_eq!(hits.get() - hits_before, request.len() as u64);
+    }
+
+    #[test]
+    fn cached_lookup_declines_on_any_miss_without_side_effects() {
+        let scope = "batch-if-cached-miss-selftest";
+        let engine = BatchEngine::scoped(8, 4, scope);
+        engine.predict(&Toy, &rows(5));
+        let reg = lam_obs::global();
+        let labels = [("scope", scope)];
+        let global = || {
+            (
+                reg.counter("lam_cache_hits_total", "", &labels).get(),
+                reg.counter("lam_cache_misses_total", "", &labels).get(),
+            )
+        };
+        let (stats, counters, len) = (engine.cache().stats(), global(), engine.cache().len());
+        // Warm rows around one cold row: the whole request is declined.
+        let request = vec![rows(5)[1].clone(), vec![99.0, 1.0], rows(5)[2].clone()];
+        assert_eq!(engine.predict_if_cached(&request), None);
+        assert_eq!(engine.cache().stats(), stats);
+        assert_eq!(global(), counters);
+        assert_eq!(engine.cache().len(), len);
+        assert_eq!(
+            engine.cache().get(&[99.0, 1.0]),
+            None,
+            "nothing was inserted"
+        );
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! epoll reactor thread owns every socket and the per-connection
 //! HTTP/1.1 state machines (incremental parsing, keep-alive, pipelining,
 //! idle/slowloris timeouts); `workers` handler threads route requests
-//! pulled from a bounded dispatch queue; small `/predict` requests
-//! submit their rows to a shared [`BatchScheduler`] that coalesces
+//! pulled from a bounded dispatch queue. `/predict` is cache-first: a
+//! request whose rows are all cached, or that is already batch-sized, is
+//! answered on its handler thread; a small request with a cache miss
+//! submits its rows to a shared [`BatchScheduler`] that coalesces
 //! micro-batches *across connections*, completing responses back through
 //! the reactor. Both queues shed with `503` + `retry-after` instead of
 //! growing without bound, and shutdown drains in-flight requests. The
@@ -248,6 +250,8 @@ pub struct ServeConfig {
     /// Requests with at least this many rows skip the coalescing
     /// scheduler and predict directly on the handler thread — they are
     /// already a full micro-batch, so queueing them buys nothing.
+    /// Smaller requests are answered on the handler thread too when every
+    /// row is cached; only those with a miss are coalesced.
     pub direct_batch_rows: usize,
 }
 
@@ -447,8 +451,9 @@ struct HandlerCtx {
 
 /// Serve one dispatched request on a handler thread. Most endpoints
 /// compute synchronously and answer through the responder; small
-/// `/predict` requests go asynchronous through the batch scheduler, and
-/// their accounting + response happen in the completion.
+/// `/predict` requests with a cache miss go asynchronous through the
+/// batch scheduler, and their accounting + response happen in the
+/// completion.
 fn handle_job(job: Job, ctx: &HandlerCtx) {
     let Job {
         req,
@@ -569,11 +574,11 @@ impl RequestTrace {
 }
 
 /// The `/predict` path of the event-driven server. Parse, validate, and
-/// resolve run here on the handler thread (errors answer immediately);
-/// small-row requests then submit to the cross-connection
-/// [`BatchScheduler`] and finish in its completion, while
-/// already-batch-sized requests predict directly — coalescing them buys
-/// nothing.
+/// resolve run here on the handler thread (errors answer immediately).
+/// Dispatch is cache-first: a small request whose rows are all cached is
+/// answered right here, and so is an already-batch-sized one (coalescing
+/// either buys nothing). Only small requests with a cache miss submit to
+/// the cross-connection [`BatchScheduler`] and finish in its completion.
 fn handle_predict(
     req: ParsedRequest,
     responder: Responder,
@@ -583,130 +588,132 @@ fn handle_predict(
     endpoint: usize,
 ) {
     let start = Instant::now();
-    let trace = RequestTrace::begin(&req, start);
-    let mut span = predict_phases().start();
+    let mut reply = PredictReply {
+        trace: RequestTrace::begin(&req, start),
+        span: predict_phases().start(),
+        start,
+        started,
+        endpoint,
+        rows: 0,
+        responder,
+    };
     // Deep call sites (registry resolution) pick the context up from the
     // thread-local instead of threading it through every signature.
-    let trace_scope = trace.map(|t| lam_obs::trace::set_scoped(t.ctx));
-    let plan = match plan_predict(&req.body, &ctx.registry, &mut span) {
+    let trace_scope = reply.trace.map(|t| lam_obs::trace::set_scoped(t.ctx));
+    let plan = match plan_predict(&req.body, &ctx.registry, &mut reply.span) {
         Ok(plan) => plan,
         Err((status, error)) => {
             drop(hint);
-            if let Some(t) = trace {
-                t.finish(status, 0);
-            }
-            account_request(endpoint, status, started);
-            responder.send(status, JSON_CONTENT_TYPE, error_body(&error), None);
+            reply.finish(status, error_body(&error), None);
             return;
         }
     };
     drop(trace_scope);
-    let rows = plan.rows.len();
-    if rows >= ctx.direct_batch_rows {
-        // Already batch-sized: coalescing with other requests buys
-        // nothing, so predict directly and keep the scheduler queue for
-        // the small requests that need it.
+    reply.rows = plan.rows.len();
+    let predict_started = Instant::now();
+    let on_handler = if reply.rows >= ctx.direct_batch_rows {
+        Some(plan.model.predict_checked(&plan.rows))
+    } else {
+        plan.model.engine().predict_if_cached(&plan.rows).map(Ok)
+    };
+    if let Some(result) = on_handler {
         drop(hint);
-        let predict_started = Instant::now();
-        let outcome = match plan.model.predict_checked(&plan.rows) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.finish(400, rows);
-                }
-                account_request(endpoint, 400, started);
-                responder.send(400, JSON_CONTENT_TYPE, error_body(&e.to_string()), None);
-                return;
-            }
-        };
-        if let Some(t) = &trace {
-            t.record_child(CHILD_PREDICT, "serve.predict", predict_started, rows);
-        }
-        span.mark("predict");
-        let body = serde_json::to_string(&PredictResponse {
-            model: plan.key.to_string(),
-            predictions: outcome.predictions,
-            cache_hits: outcome.cache_hits,
-            micros: start.elapsed().as_micros() as u64,
-        });
-        span.mark("serialize");
-        match body {
-            Ok(body) => {
-                if let Some(t) = trace {
-                    t.finish(200, rows);
-                }
-                account_request(endpoint, 200, started);
-                responder.send(200, JSON_CONTENT_TYPE, body, None);
-            }
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.finish(500, rows);
-                }
-                account_request(endpoint, 500, started);
-                responder.send(500, JSON_CONTENT_TYPE, error_body(&e.to_string()), None);
-            }
+        match result {
+            Ok(outcome) => reply.send(
+                plan.key,
+                outcome.predictions,
+                outcome.cache_hits,
+                (CHILD_PREDICT, "serve.predict", predict_started),
+            ),
+            Err(e) => reply.finish(400, error_body(&e.to_string()), None),
         }
         return;
     }
-    let permit = match ctx.scheduler.try_reserve(rows) {
+    let permit = match ctx.scheduler.try_reserve(reply.rows) {
         Ok(permit) => permit,
         Err(e) => {
             drop(hint);
-            if let Some(t) = trace {
-                t.finish(503, rows);
-            }
-            account_request(endpoint, 503, started);
-            responder.send(
+            reply.finish(
                 503,
-                JSON_CONTENT_TYPE,
                 error_body(&format!("server overloaded: {e}")),
                 Some(ctx.retry_after_secs),
             );
             return;
         }
     };
-    let key = plan.key.to_string();
     let target: Arc<dyn BatchTarget> = plan.model;
     let queued_at = Instant::now();
     permit.submit(
         target,
         plan.rows,
         Box::new(move |outcome| {
-            if let Some(t) = &trace {
-                // Submit → completion: queue wait plus the shared batch
-                // execution, the cost of coalescing this request.
-                t.record_child(CHILD_QUEUE, "serve.queue", queued_at, rows);
-            }
-            span.mark("predict");
-            let body = serde_json::to_string(&PredictResponse {
-                model: key,
-                predictions: outcome.predictions,
-                cache_hits: outcome.cache_hits,
-                micros: start.elapsed().as_micros() as u64,
-            });
-            span.mark("serialize");
-            match body {
-                Ok(body) => {
-                    if let Some(t) = trace {
-                        t.finish(200, rows);
-                    }
-                    account_request(endpoint, 200, started);
-                    responder.send(200, JSON_CONTENT_TYPE, body, None);
-                }
-                Err(e) => {
-                    if let Some(t) = trace {
-                        t.finish(500, rows);
-                    }
-                    account_request(endpoint, 500, started);
-                    responder.send(500, JSON_CONTENT_TYPE, error_body(&e.to_string()), None);
-                }
-            }
+            // Submit → completion: queue wait plus the shared batch
+            // execution, the cost of coalescing this request.
+            reply.send(
+                plan.key,
+                outcome.predictions,
+                outcome.cache_hits,
+                (CHILD_QUEUE, "serve.queue", queued_at),
+            );
         }),
     );
     // The submission is queued: only now may the producer hint drop
     // (releasing it earlier could flush a batch this request would have
     // joined).
     drop(hint);
+}
+
+/// One `/predict` request past its arrival: everything its response
+/// needs, whichever path (handler thread or scheduler completion) ends up
+/// answering it.
+struct PredictReply {
+    trace: Option<RequestTrace>,
+    span: SpanTimer<'static>,
+    /// Handler entry, for the response's `micros`.
+    start: Instant,
+    /// Dispatch entry when recording is on, for the request histogram.
+    started: Option<Instant>,
+    endpoint: usize,
+    rows: usize,
+    responder: Responder,
+}
+
+impl PredictReply {
+    /// Answer with predictions: record the trace child `(seq, name,
+    /// started)` that produced them, serialize, then [`Self::finish`].
+    fn send(
+        mut self,
+        key: ModelKey,
+        predictions: Vec<f64>,
+        cache_hits: u64,
+        child: (u64, &'static str, Instant),
+    ) {
+        if let Some(t) = &self.trace {
+            t.record_child(child.0, child.1, child.2, self.rows);
+        }
+        self.span.mark("predict");
+        let body = serde_json::to_string(&PredictResponse {
+            model: key.to_string(),
+            predictions,
+            cache_hits,
+            micros: self.start.elapsed().as_micros() as u64,
+        });
+        self.span.mark("serialize");
+        match body {
+            Ok(body) => self.finish(200, body, None),
+            Err(e) => self.finish(500, error_body(&e.to_string()), None),
+        }
+    }
+
+    /// Close the `serve.request` span, account the request, and send.
+    fn finish(self, status: u16, body: String, retry_after: Option<u32>) {
+        if let Some(t) = self.trace {
+            t.finish(status, self.rows);
+        }
+        account_request(self.endpoint, status, self.started);
+        self.responder
+            .send(status, JSON_CONTENT_TYPE, body, retry_after);
+    }
 }
 
 /// Endpoint labels for request metrics — a fixed classification, because
@@ -1129,8 +1136,8 @@ fn predict_phases() -> &'static PhaseSet {
 }
 
 /// A validated, resolved `/predict` request, ready to execute: either
-/// inline (reference server, large batches) or via the cross-connection
-/// batch scheduler.
+/// inline (reference server, large batches, all-cached rows) or via the
+/// cross-connection batch scheduler.
 struct PredictPlan {
     key: ModelKey,
     model: Arc<LoadedModel>,

@@ -19,9 +19,10 @@
 //! * [`http`] — an event-driven HTTP/JSON server (epoll reactor, vendored
 //!   shim, no external async stack) with `/predict`, `/tune` (a thin shim
 //!   over the `lam-tune` autotuner), `/models`, `/workloads`, and
-//!   `/healthz`; small `/predict` requests coalesce into cross-connection
-//!   micro-batches, and both the dispatch queue and the batch queue shed
-//!   with `503` + `retry-after` under overload;
+//!   `/healthz`; `/predict` answers all-cached rows straight from the
+//!   prediction cache, small requests with a cache miss coalesce into
+//!   cross-connection micro-batches, and both the dispatch queue and the
+//!   batch queue shed with `503` + `retry-after` under overload;
 //! * [`proto`] — the incremental HTTP/1.1 request parser and response
 //!   encoder shared by the reactor's per-connection state machines;
 //! * [`reference`] — the original blocking thread-per-connection server,

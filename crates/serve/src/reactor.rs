@@ -11,7 +11,7 @@
 //!                    ┌───────▼──────────────┴───────┐  ┌──────┴──────┐
 //!                    │ handler pool (route, parse)  │─▶│ completions │
 //!                    └───────┬──────────────────────┘  └──────▲──────┘
-//!                     submit │ (coalesced micro-batches)      │
+//!        submit (cache miss) │ (coalesced micro-batches)      │
 //!                    ┌───────▼──────────────────────┐         │
 //!                    │ lam_core BatchScheduler      │─────────┘
 //!                    └──────────────────────────────┘

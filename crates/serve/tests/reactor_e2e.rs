@@ -1,18 +1,30 @@
 //! End-to-end tests for the event-driven serve core: pipelining with
 //! strict response ordering, graceful drain, load shedding under
-//! overload, slowloris/oversized-head defenses, idle reaping, and
-//! cross-connection micro-batch formation — all over real sockets
-//! against a real server.
+//! overload, slowloris/oversized-head defenses, idle reaping,
+//! cross-connection micro-batch formation, and cache-first dispatch —
+//! all over real sockets against a real server.
 
-use lam_serve::http::{self, PredictRequest, ServeConfig, ServerOptions};
-use lam_serve::loadgen::{self, HttpClient, LoadMode, LoadgenOptions, MetricsScrape};
+use lam_obs::trace::TraceContext;
+use lam_serve::http::{self, PredictRequest, PredictResponse, ServeConfig, ServerOptions};
+use lam_serve::loadgen::{HttpClient, MetricsScrape};
 use lam_serve::persist::ModelKind;
 use lam_serve::registry::{ModelKey, ModelRegistry};
 use lam_serve::workload::WorkloadId;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// `lam_batch_occupancy` is process-global, so the tests whose requests
+/// can reach a `BatchScheduler` take this lock: a test asserting on
+/// occupancy deltas must not overlap another test's scheduler traffic.
+static SCHEDULER_TRAFFIC: Mutex<()> = Mutex::new(());
+
+fn scheduler_traffic() -> MutexGuard<'static, ()> {
+    SCHEDULER_TRAFFIC
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("lam_serve_reactor_e2e_{tag}"));
@@ -125,6 +137,7 @@ fn read_to_eof(stream: &mut TcpStream) -> String {
 
 #[test]
 fn pipelined_requests_answer_strictly_in_order() {
+    let _serial = scheduler_traffic();
     let registry = Arc::new(ModelRegistry::new(temp_root("pipeline")));
     // Train ahead of time so pipelined /predict answers are fast.
     registry
@@ -141,9 +154,10 @@ fn pipelined_requests_answer_strictly_in_order() {
         rows,
     })
     .unwrap();
-    // A mixed pipeline: sync routes and scheduler-routed predicts
-    // interleaved. Responses must come back in exactly this order even
-    // though predict completions arrive from scheduler workers.
+    // A mixed pipeline: sync routes and predicts interleaved. The first
+    // predict misses the cache and completes from a scheduler worker;
+    // later ones may hit and answer on a handler thread. Responses must
+    // come back in exactly this order either way.
     let plan: Vec<(&str, &str, &str, &str)> = vec![
         ("GET", "/healthz", "", "\"uptime_ms\""),
         ("POST", "/predict", &predict_body, "\"predictions\""),
@@ -211,6 +225,7 @@ fn graceful_drain_finishes_in_flight_requests() {
 
 #[test]
 fn overload_sheds_503_with_retry_after_and_survives() {
+    let _serial = scheduler_traffic();
     let registry = Arc::new(ModelRegistry::new(temp_root("overload")));
     registry
         .get(ModelKey::new(wid("fmm-small"), ModelKind::Linear, 1))
@@ -396,8 +411,80 @@ fn connection_cap_sheds_new_connections_with_503() {
     handle.stop();
 }
 
+fn scrape(addr: &str) -> MetricsScrape {
+    let mut c = HttpClient::connect(addr).expect("scrape conn");
+    MetricsScrape::fetch(&mut c).expect("scrapes")
+}
+
+fn predict_body(kind: &str, rows: Vec<Vec<f64>>) -> String {
+    serde_json::to_string(&PredictRequest {
+        workload: "fmm-small".to_string(),
+        kind: kind.to_string(),
+        version: Some(1),
+        rows,
+    })
+    .unwrap()
+}
+
+/// `n` distinct fmm-small rows off the configuration grid (a fractional
+/// particle count), numbered from `first`: no earlier request has cached
+/// them, so they miss until sent once.
+fn off_grid_rows(first: usize, n: usize) -> Vec<Vec<f64>> {
+    let base = wid("fmm-small").sample_rows(1).remove(0);
+    (first..first + n)
+        .map(|i| {
+            let mut row = base.clone();
+            row[1] += 0.25 + i as f64;
+            row
+        })
+        .collect()
+}
+
+/// POST every body to `/predict`, split over `connections` concurrent
+/// connections with `depth` requests in flight on each; returns the
+/// responses in body order.
+fn pipelined_predicts(
+    addr: &str,
+    bodies: &[String],
+    connections: usize,
+    depth: usize,
+) -> Vec<PredictResponse> {
+    let per_conn = bodies.len().div_ceil(connections);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = bodies
+            .chunks(per_conn)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let mut client = HttpClient::connect(addr).expect("connects");
+                    let mut out = Vec::with_capacity(chunk.len());
+                    for window in chunk.chunks(depth) {
+                        for body in window {
+                            client.send("POST", "/predict", body).expect("sends");
+                        }
+                        for _ in window {
+                            let (status, body) = client.recv().expect("response");
+                            assert_eq!(status, 200, "{body}");
+                            out.push(serde_json::from_str(&body).expect("predict response"));
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client thread"))
+            .collect()
+    })
+}
+
+fn bits(predictions: &[f64]) -> Vec<u64> {
+    predictions.iter().map(|y| y.to_bits()).collect()
+}
+
 #[test]
 fn concurrent_single_row_traffic_forms_cross_connection_batches() {
+    let _serial = scheduler_traffic();
     let registry = Arc::new(ModelRegistry::new(temp_root("occupancy")));
     registry
         .get(ModelKey::new(wid("fmm-small"), ModelKind::Linear, 1))
@@ -409,31 +496,25 @@ fn concurrent_single_row_traffic_forms_cross_connection_batches() {
     let handle = http::start_with(Arc::clone(&registry), cfg).expect("binds");
     let addr = handle.local_addr().to_string();
 
-    let before = {
-        let mut c = HttpClient::connect(&addr).expect("scrape conn");
-        MetricsScrape::fetch(&mut c).expect("scrapes")
-    };
-    let report = loadgen::run(&LoadgenOptions {
-        addrs: vec![addr.clone()],
-        workload: wid("fmm-small"),
-        kind: ModelKind::Linear,
-        version: 1,
-        seconds: 1.5,
-        connections: 4,
-        batch: 1, // single-row requests: any batching must come from coalescing
-        pool: 64,
-        mode: LoadMode::Pipeline(8),
-    })
-    .expect("loadgen runs");
-    assert_eq!(report.errors, 0, "no transport errors");
-    assert!(report.requests > 0);
-
-    let mut c = HttpClient::connect(&addr).expect("scrape conn");
-    let after = MetricsScrape::fetch(&mut c).expect("scrapes");
+    // Every row is distinct and uncached, so every single-row request
+    // misses and goes through the scheduler: any batching must come from
+    // coalescing across the 4 pipelined connections.
+    let bodies: Vec<String> = off_grid_rows(0, 512)
+        .into_iter()
+        .map(|row| predict_body("linear", vec![row]))
+        .collect();
+    let before = scrape(&addr);
+    let cold = pipelined_predicts(&addr, &bodies, 4, 8);
+    let after = scrape(&addr);
+    assert!(cold.iter().all(|r| r.cache_hits == 0), "rows were cold");
     let (c0, s0) = before.histogram_totals("lam_batch_occupancy", None);
     let (c1, s1) = after.histogram_totals("lam_batch_occupancy", None);
     let (flushes, submissions) = (c1 - c0, s1 - s0);
-    assert!(flushes > 0, "the scheduler must have executed batches");
+    assert_eq!(
+        submissions,
+        bodies.len() as u64,
+        "every cold request is a scheduler submission"
+    );
     let occupancy = submissions as f64 / flushes as f64;
     assert!(
         occupancy > 1.0,
@@ -444,5 +525,86 @@ fn concurrent_single_row_traffic_forms_cross_connection_batches() {
         after.gauge_total("lam_connections_open") >= 1,
         "the scrape's own connection is registered with the reactor"
     );
+
+    // Twin: the same rows again are all cached, so they are answered on
+    // the handler threads. Hits move; the scheduler sees nothing.
+    let hits = |s: &MetricsScrape| {
+        s.counter_with_label("lam_cache_hits_total", ("scope", "fmm-small/linear"))
+    };
+    let warm = pipelined_predicts(&addr, &bodies, 4, 8);
+    let after_warm = scrape(&addr);
+    assert!(warm.iter().all(|r| r.cache_hits == 1), "rows were warm");
+    assert!(hits(&after_warm) - hits(&after) >= bodies.len() as u64);
+    assert_eq!(
+        after_warm.histogram_totals("lam_batch_occupancy", None).0,
+        c1,
+        "warm single-row traffic must not reach the scheduler"
+    );
+    for (w, c) in warm.iter().zip(&cold) {
+        assert_eq!(bits(&w.predictions), bits(&c.predictions));
+    }
+    handle.stop();
+}
+
+/// Names of the spans one forced trace left on `addr`.
+fn trace_span_names(addr: &str, ctx: &TraceContext) -> Vec<String> {
+    let mut client = HttpClient::connect(addr).expect("connects");
+    let (status, body) = client
+        .get(&format!("/traces/{:032x}", ctx.trace_id))
+        .expect("trace fetch");
+    assert_eq!(status, 200, "forced trace not retained: {body}");
+    let doc: serde::Value = serde_json::from_str(&body).expect("trace json");
+    doc.get("spans")
+        .and_then(|s| s.as_array())
+        .expect("spans array")
+        .iter()
+        .filter_map(|span| span.get("name").and_then(|n| n.as_str()))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
+    let _serial = scheduler_traffic();
+    let registry = Arc::new(ModelRegistry::new(temp_root("cache_first")));
+    registry
+        .get(ModelKey::new(wid("fmm-small"), ModelKind::Cart, 1))
+        .expect("trains");
+    let handle = http::start_with(Arc::clone(&registry), base_config(2)).expect("binds");
+    let addr = handle.local_addr().to_string();
+    let mut client = HttpClient::connect(&addr).expect("connects");
+    let mut traced = |body: &str| {
+        let ctx = TraceContext::root().with_force();
+        client
+            .send_traced("POST", "/predict", body, Some(&ctx.header_value()))
+            .expect("sends");
+        let (status, resp) = client.recv().expect("response");
+        assert_eq!(status, 200, "{resp}");
+        let resp: PredictResponse = serde_json::from_str(&resp).expect("predict response");
+        (resp, trace_span_names(&addr, &ctx))
+    };
+
+    for rows in [off_grid_rows(1000, 1), off_grid_rows(2000, 32)] {
+        let n = rows.len();
+        let body = predict_body("cart", rows);
+        let (cold, cold_spans) = traced(&body);
+        assert_eq!(cold.cache_hits, 0, "{n} rows were cold");
+        assert!(
+            cold_spans.iter().any(|s| s == "serve.queue"),
+            "a cold {n}-row request is coalesced: {cold_spans:?}"
+        );
+        let (warm, warm_spans) = traced(&body);
+        assert_eq!(warm.cache_hits, n as u64, "{n} rows were warm");
+        assert_eq!(
+            bits(&warm.predictions),
+            bits(&cold.predictions),
+            "warm {n}-row answer differs from the cold one"
+        );
+        assert!(
+            warm_spans.iter().any(|s| s == "serve.predict")
+                && !warm_spans.iter().any(|s| s == "serve.queue"),
+            "a warm {n}-row request is answered on the handler: {warm_spans:?}"
+        );
+    }
     handle.stop();
 }

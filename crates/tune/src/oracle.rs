@@ -127,11 +127,13 @@ mod tests {
     use lam_analytical::traits::{AnalyticalModel, ConstantModel};
     use lam_core::workload::Workload;
 
-    struct Toy;
+    /// A ten-point toy space; the field is its name, which is also the
+    /// `workload` label its evaluations are counted under.
+    struct Toy(&'static str);
     impl Workload for Toy {
         type Config = u64;
         fn name(&self) -> &str {
-            "toy"
+            self.0
         }
         fn feature_names(&self) -> Vec<String> {
             vec!["n".to_string()]
@@ -157,7 +159,7 @@ mod tests {
 
     #[test]
     fn budget_is_enforced_and_memo_is_free() {
-        let toy = Toy;
+        let toy = Toy("toy");
         let mut oracle = BudgetedOracle::new(&toy, 2);
         assert_eq!(oracle.measure(0), Some(10.0));
         assert_eq!(oracle.measure(3), Some(7.0));
@@ -173,8 +175,10 @@ mod tests {
 
     #[test]
     fn evaluations_feed_the_metrics_registry() {
-        let toy = Toy;
-        let labels = [("workload", "toy")];
+        // A name of its own: sibling tests in this binary measure the
+        // `"toy"` workload concurrently, which would move these counters.
+        let toy = Toy("toy-metrics");
+        let labels = [("workload", "toy-metrics")];
         let evals = lam_obs::global().counter(
             "lam_tune_evaluations_total",
             "Oracle evaluations spent by tuning strategies.",
@@ -199,7 +203,7 @@ mod tests {
 
     #[test]
     fn trajectory_tracks_the_incumbent() {
-        let toy = Toy;
+        let toy = Toy("toy");
         let mut oracle = BudgetedOracle::new(&toy, 4);
         for i in [2, 8, 5] {
             oracle.measure(i);
