@@ -1,10 +1,9 @@
-//! Arena-compiled vs interpreted tree inference, and binary vs JSON
-//! artifact loading.
+//! Arena-compiled vs interpreted tree inference, and artifact loading.
 //!
 //! The compiled arena ([`lam_ml::compile`]) serves the same predictions
 //! bit for bit; these benchmarks quantify what the layout change buys:
 //! per-row latency at batch sizes 1 / 64 / 256 for every tree-backed
-//! model family, and registry cold-start (artifact load) time per format.
+//! model family, and registry cold-start (artifact load) time.
 //!
 //! Run: `cargo bench -p lam-bench --bench infer`
 
@@ -43,18 +42,14 @@ fn bench_infer(c: &mut Criterion) {
         group.finish();
     }
 
-    // Cold start: parse/decode an extra-trees artifact (the biggest and
-    // the paper's best pure-ML model) from each format.
+    // Cold start: decode an extra-trees artifact (the biggest and the
+    // paper's best pure-ML model).
     let mut load = c.benchmark_group("artifact_load");
     let dir = std::env::temp_dir().join("lam_bench_infer_load");
     let saved = train(ModelKey::new(wid(), ModelKind::ExtraTrees, 1)).expect("training succeeds");
-    let bin_path = saved.save(&dir).expect("binary save");
-    let json_path = saved.save_json(&dir).expect("json save");
+    let path = saved.save(&dir).expect("save");
     load.bench_function("binary", |b| {
-        b.iter(|| SavedModel::load(&bin_path).expect("loads"))
-    });
-    load.bench_function("json", |b| {
-        b.iter(|| SavedModel::load(&json_path).expect("loads"))
+        b.iter(|| SavedModel::load(&path).expect("loads"))
     });
     load.finish();
 }

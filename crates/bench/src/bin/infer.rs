@@ -1,6 +1,6 @@
 //! Inference fast-path report: arena-compiled vs interpreted per-row
-//! latency (batch 1 / 64 / 256, every tree-backed family) and binary vs
-//! JSON artifact load time, written to `results/BENCH_infer.json`.
+//! latency (batch 1 / 64 / 256, every tree-backed family), written to
+//! `results/BENCH_infer.json` with the core count it was measured on.
 //!
 //! The Criterion twin (`cargo bench -p lam-bench --bench infer`) gives
 //! statistically rigorous numbers; this binary is the quick, CI-friendly
@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p lam-bench --bin infer`
 
-use lam_serve::persist::{ModelKind, SavedModel};
+use lam_serve::persist::ModelKind;
 use lam_serve::registry::{train, ModelKey};
 use lam_serve::workload::WorkloadId;
 use serde::{Deserialize, Serialize};
@@ -35,19 +35,11 @@ struct BatchCell {
     speedup: f64,
 }
 
-/// Artifact cold-start timing per format, microseconds per load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LoadCell {
-    format: String,
-    micros_per_load: f64,
-}
-
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct InferReport {
     workload: String,
+    cores: usize,
     cells: Vec<BatchCell>,
-    loads: Vec<LoadCell>,
-    load_speedup_binary_over_json: f64,
 }
 
 /// Wall-clock a closure: warm up, then run enough iterations to fill a
@@ -108,38 +100,10 @@ fn main() {
         }
     }
 
-    // Cold start: extra trees is the largest artifact and the paper's
-    // best pure-ML model.
-    let dir = std::env::temp_dir().join("lam_bench_infer_bin_load");
-    let saved = train(ModelKey::new(workload, ModelKind::ExtraTrees, 1)).expect("training");
-    let bin_path = saved.save(&dir).expect("binary save");
-    let json_path = saved.save_json(&dir).expect("json save");
-    let bin_us = time_ns(|| {
-        std::hint::black_box(SavedModel::load(&bin_path).expect("loads"));
-    }) / 1000.0;
-    let json_us = time_ns(|| {
-        std::hint::black_box(SavedModel::load(&json_path).expect("loads"));
-    }) / 1000.0;
-    let load_speedup = json_us / bin_us;
-    println!("\nartifact load (extra-trees):");
-    println!("  binary: {bin_us:>10.1} us");
-    println!("  json:   {json_us:>10.1} us");
-    println!("  speedup: {load_speedup:.1}x");
-
     let report = InferReport {
         workload: workload.to_string(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         cells,
-        loads: vec![
-            LoadCell {
-                format: "binary".to_string(),
-                micros_per_load: bin_us,
-            },
-            LoadCell {
-                format: "json".to_string(),
-                micros_per_load: json_us,
-            },
-        ],
-        load_speedup_binary_over_json: load_speedup,
     };
     let dir = Path::new("results");
     std::fs::create_dir_all(dir).expect("results dir");

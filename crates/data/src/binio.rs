@@ -39,11 +39,13 @@
 //! the bulk of every model artifact) is packed as raw floats, 9 bytes per
 //! element instead of a tagged value each, and decodes back to the same
 //! `Value::Array` it came from.
+//!
+//! Decoding treats its input as untrusted (artifacts arrive from peers):
+//! lengths are checked against the bytes remaining, and arrays and
+//! objects may nest at most [`MAX_NESTING`] deep.
 
 use crate::io::IoError;
 use serde::{Deserialize, Number, Serialize, Value};
-use std::fs;
-use std::path::Path;
 
 /// File magic: `LAMB` ("LAM Binary").
 pub const MAGIC: [u8; 4] = *b"LAMB";
@@ -51,6 +53,11 @@ pub const MAGIC: [u8; 4] = *b"LAMB";
 /// Codec version written after the magic; bump on layout changes so stale
 /// artifacts fail loudly instead of decoding wrong.
 pub const BINARY_VERSION: u32 = 1;
+
+/// Deepest array/object nesting [`from_bytes`] accepts. Decoding recurses
+/// once per level, so an unbounded depth lets a small hostile input
+/// overflow the stack; model artifacts nest at most 9 deep.
+pub const MAX_NESTING: usize = 128;
 
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
@@ -131,6 +138,8 @@ fn encode_value(value: &Value, out: &mut Vec<u8>) -> Result<(), IoError> {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -191,6 +200,18 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Value, IoError> {
         let tag = self.u8()?;
+        if matches!(tag, TAG_ARRAY | TAG_OBJECT) {
+            if self.depth == MAX_NESTING {
+                return Err(IoError::Binary(format!(
+                    "nesting deeper than {MAX_NESTING} at offset {}",
+                    self.pos - 1
+                )));
+            }
+            self.depth += 1;
+            let value = self.container(tag);
+            self.depth -= 1;
+            return value;
+        }
         Ok(match tag {
             TAG_NULL => Value::Null,
             TAG_FALSE => Value::Bool(false),
@@ -199,24 +220,6 @@ impl<'a> Reader<'a> {
             TAG_NEG_INT => Value::Number(Number::NegInt(self.u64()? as i64)),
             TAG_FLOAT => Value::Number(Number::Float(f64::from_bits(self.u64()?))),
             TAG_STRING => Value::String(self.string()?),
-            TAG_ARRAY => {
-                let len = self.len(1)?;
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(self.value()?);
-                }
-                Value::Array(items)
-            }
-            TAG_OBJECT => {
-                let len = self.len(5)?;
-                let mut fields = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let key = self.string()?;
-                    let value = self.value()?;
-                    fields.push((key, value));
-                }
-                Value::Object(fields)
-            }
             TAG_FLOAT_ARRAY => {
                 let len = self.len(8)?;
                 let mut items = Vec::with_capacity(len);
@@ -233,6 +236,26 @@ impl<'a> Reader<'a> {
             }
         })
     }
+
+    /// The payload of an array or object whose tag was just read.
+    fn container(&mut self, tag: u8) -> Result<Value, IoError> {
+        if tag == TAG_ARRAY {
+            let len = self.len(1)?;
+            let mut items = Vec::with_capacity(len);
+            for _ in 0..len {
+                items.push(self.value()?);
+            }
+            return Ok(Value::Array(items));
+        }
+        let len = self.len(5)?;
+        let mut fields = Vec::with_capacity(len);
+        for _ in 0..len {
+            let key = self.string()?;
+            let value = self.value()?;
+            fields.push((key, value));
+        }
+        Ok(Value::Object(fields))
+    }
 }
 
 /// Encode a serializable value as header + binary tree.
@@ -247,7 +270,11 @@ pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, IoError> {
 /// Decode a value written by [`to_bytes`], validating magic and version
 /// and rejecting trailing garbage.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, IoError> {
-    let mut reader = Reader { bytes, pos: 0 };
+    let mut reader = Reader {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     let magic = reader.take(4)?;
     if magic != MAGIC {
         return Err(IoError::Binary(format!(
@@ -268,17 +295,6 @@ pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, IoError> {
         )));
     }
     T::from_value(&value).map_err(|e| IoError::Binary(format!("decode: {e}")))
-}
-
-/// Write a serializable value as a binary artifact.
-pub fn write_binary<T: Serialize, P: AsRef<Path>>(value: &T, path: P) -> Result<(), IoError> {
-    fs::write(path, to_bytes(value)?)?;
-    Ok(())
-}
-
-/// Read a value written by [`write_binary`].
-pub fn read_binary<T: Deserialize, P: AsRef<Path>>(path: P) -> Result<T, IoError> {
-    from_bytes(&fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -402,6 +418,32 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // `depth` arrays, each holding the next, innermost empty.
+        let nested = |depth: usize| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+            for level in 0..depth {
+                bytes.push(TAG_ARRAY);
+                let len: u32 = if level + 1 == depth { 0 } else { 1 };
+                bytes.extend_from_slice(&len.to_le_bytes());
+            }
+            bytes
+        };
+        assert!(from_bytes::<Value>(&nested(MAX_NESTING)).is_ok());
+        assert!(matches!(
+            from_bytes::<Value>(&nested(MAX_NESTING + 1)),
+            Err(IoError::Binary(_))
+        ));
+        // 10,000 levels in 50 KB, on the 2 MB stack of a spawned thread:
+        // an error, not a stack overflow.
+        let deep = nested(10_000);
+        let decoded = std::thread::spawn(move || from_bytes::<Value>(&deep).is_err());
+        assert!(decoded.join().expect("no stack overflow"));
+    }
+
+    #[test]
     fn unknown_tag_rejected() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
@@ -427,8 +469,8 @@ mod tests {
             tag: None,
         };
         let path = std::env::temp_dir().join("lam_data_binio_roundtrip.lamb");
-        write_binary(&a, &path).unwrap();
-        let back: Artifact = read_binary(&path).unwrap();
+        std::fs::write(&path, to_bytes(&a).unwrap()).unwrap();
+        let back: Artifact = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(a.name, back.name);
         assert_eq!(a.tag, back.tag);
         for (x, y) in a.weights.iter().zip(&back.weights) {

@@ -35,8 +35,14 @@
 //! `fold(0.0, +)` summation), so compiled predictions are
 //! **bit-identical** to the interpreted model's.
 //!
-//! Fitted-ness is validated once, here, at compile time
-//! ([`CompileError::NotFitted`]) — the per-row hot path carries no assert.
+//! Fitted-ness and tree structure are validated once, here, at compile
+//! time — the per-row hot path carries no assert. A tree must be fitted
+//! ([`CompileError::NotFitted`]), split only on columns below its feature
+//! arity ([`CompileError::FeatureOutOfRange`]), lay its nodes out in the
+//! preorder that fitting emits ([`CompileError::NotPreorder`]), and stay
+//! within [`MAX_DEPTH`] levels ([`CompileError::TooDeep`]). A deserialized
+//! artifact that breaks any of these is refused instead of compiled into
+//! an arena whose unchecked walk would read out of bounds.
 
 use crate::ensemble::GradientBoostingRegressor;
 use crate::forest::{ExtraTreesRegressor, RandomForestRegressor};
@@ -60,6 +66,11 @@ pub const BLOCK: usize = 64;
 /// out-of-order window eight independent chains to overlap.
 pub const LANES: usize = 8;
 
+/// Deepest tree the compiler lowers. Fitted trees on every catalog
+/// workload stay under 25 levels; the bound keeps a hostile artifact from
+/// overflowing the stack of the recursive lowering.
+pub const MAX_DEPTH: usize = 1024;
+
 /// Errors raised when lowering a model into an arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
@@ -69,6 +80,22 @@ pub enum CompileError {
     NotFitted,
     /// The ensemble exceeds the arena's 2³¹-node index capacity.
     TooLarge,
+    /// A split reads a column at or past the model's feature arity.
+    FeatureOutOfRange {
+        /// The split's column.
+        feature: u32,
+        /// Columns the model was fitted on.
+        n_features: usize,
+    },
+    /// A tree's nodes are not the preorder fitting emits (each split's
+    /// left subtree right after it, then its right subtree): a child
+    /// index is out of range, points backwards, or is shared.
+    NotPreorder {
+        /// Node index at which the layout breaks.
+        node: usize,
+    },
+    /// A tree is deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for CompileError {
@@ -76,6 +103,17 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::NotFitted => write!(f, "cannot compile an unfitted model"),
             CompileError::TooLarge => write!(f, "ensemble exceeds arena index capacity"),
+            CompileError::FeatureOutOfRange {
+                feature,
+                n_features,
+            } => write!(
+                f,
+                "split on feature {feature} of a {n_features}-feature model"
+            ),
+            CompileError::NotPreorder { node } => {
+                write!(f, "tree node {node} breaks the fitted preorder layout")
+            }
+            CompileError::TooDeep => write!(f, "tree deeper than {MAX_DEPTH} levels"),
         }
     }
 }
@@ -151,10 +189,27 @@ impl CompiledTrees {
         self.children.resize(2 * padded, LEAF_TAG);
     }
 
-    /// Lower one tree's nodes into the arena, returning the encoded root
-    /// slot. Internal nodes are emitted in DFS preorder so a walk's next
-    /// node is usually adjacent in memory.
-    fn lower(&mut self, nodes: &[Node], id: usize) -> Result<u32, CompileError> {
+    /// Lower the subtree at `nodes[id]`, `depth` levels below its root,
+    /// into the arena, returning its encoded slot. Internal nodes are
+    /// emitted in DFS preorder so a walk's next node is usually adjacent
+    /// in memory. The source nodes must be in that same preorder: `next`
+    /// is the index the walk expects to visit next, so every node is
+    /// visited exactly once, children lie after their parent, and the
+    /// recursion ends.
+    fn lower(
+        &mut self,
+        nodes: &[Node],
+        id: usize,
+        depth: usize,
+        next: &mut usize,
+    ) -> Result<u32, CompileError> {
+        if depth > MAX_DEPTH {
+            return Err(CompileError::TooDeep);
+        }
+        if id != *next || id >= nodes.len() {
+            return Err(CompileError::NotPreorder { node: id });
+        }
+        *next += 1;
         match nodes[id] {
             Node::Leaf { value } => {
                 let slot = self.leaf_values.len();
@@ -173,6 +228,12 @@ impl CompiledTrees {
                 // representation (feature importances read it there).
                 improvement: _,
             } => {
+                if feature as usize >= self.n_features {
+                    return Err(CompileError::FeatureOutOfRange {
+                        feature,
+                        n_features: self.n_features,
+                    });
+                }
                 let slot = self.feature.len();
                 if slot >= LEAF_TAG as usize {
                     return Err(CompileError::TooLarge);
@@ -181,8 +242,8 @@ impl CompiledTrees {
                 self.threshold.push(threshold);
                 self.children.push(0);
                 self.children.push(0);
-                let l = self.lower(nodes, left)?;
-                let r = self.lower(nodes, right)?;
+                let l = self.lower(nodes, left, depth + 1, next)?;
+                let r = self.lower(nodes, right, depth + 1, next)?;
                 self.children[2 * slot] = l;
                 self.children[2 * slot + 1] = r;
                 Ok(slot as u32)
@@ -195,7 +256,11 @@ impl CompiledTrees {
         if nodes.is_empty() {
             return Err(CompileError::NotFitted);
         }
-        let root = self.lower(nodes, 0)?;
+        let mut next = 0;
+        let root = self.lower(nodes, 0, 0, &mut next)?;
+        if next != nodes.len() {
+            return Err(CompileError::NotPreorder { node: next });
+        }
         self.roots.push(root);
         Ok(())
     }
@@ -304,9 +369,10 @@ impl CompiledTrees {
     ///   pads to the max, so a parked lane's dead load stays in bounds);
     /// * `children.len() == 2 * feature.len()`, so `2 * id + right` is in
     ///   bounds whenever `id` is;
-    /// * every `feature` entry is `< n_features` (split features come from
-    ///   fitting; padding entries are 0 and `n_features > 0` — the caller
-    ///   routes through the safe scalar walk otherwise);
+    /// * every `feature` entry is `< n_features` (lowering refuses any
+    ///   other split with [`CompileError::FeatureOutOfRange`]; padding
+    ///   entries are 0 and `n_features > 0` — the caller routes through
+    ///   the safe scalar walk otherwise);
     /// * `x` is the caller's flat row-major scratch: lane `k` is the
     ///   `n_features` values at `base + k * n_features`, and the caller
     ///   guarantees `x.len() >= base + LANES * n_features` (rows were
@@ -591,6 +657,84 @@ mod tests {
             GradientBoostingRegressor::new(10, 0.1, 0).compile(),
             Err(CompileError::NotFitted)
         );
+    }
+
+    fn raw_tree(nodes: Vec<Node>, n_features: usize) -> DecisionTreeRegressor {
+        DecisionTreeRegressor::from_raw_parts(nodes, n_features)
+    }
+
+    fn split(feature: u32, left: usize, right: usize) -> Node {
+        Node::Internal {
+            feature,
+            threshold: 0.5,
+            left,
+            right,
+            improvement: 0.0,
+        }
+    }
+
+    const LEAF: Node = Node::Leaf { value: 1.0 };
+
+    #[test]
+    fn splits_past_the_feature_arity_are_refused() {
+        let t = raw_tree(vec![split(1_000_000, 1, 2), LEAF, LEAF], 4);
+        assert_eq!(
+            t.compile(),
+            Err(CompileError::FeatureOutOfRange {
+                feature: 1_000_000,
+                n_features: 4
+            })
+        );
+        // The arity is the model's, not a guess from the splits.
+        assert!(raw_tree(vec![split(3, 1, 2), LEAF, LEAF], 4)
+            .compile()
+            .is_ok());
+        assert!(raw_tree(vec![split(4, 1, 2), LEAF, LEAF], 4)
+            .compile()
+            .is_err());
+    }
+
+    #[test]
+    fn children_outside_the_fitted_preorder_are_refused() {
+        for (nodes, node) in [
+            // A child past the end.
+            (vec![split(0, 1, 7), LEAF], 7),
+            // A cycle back to the root.
+            (vec![split(0, 0, 1), LEAF], 0),
+            // A subtree shared by two parents.
+            (vec![split(0, 1, 2), split(0, 2, 3), LEAF, LEAF], 2),
+            // Children swapped.
+            (vec![split(0, 2, 1), LEAF, LEAF], 2),
+            // A node no split reaches.
+            (vec![LEAF, LEAF], 1),
+        ] {
+            assert_eq!(
+                raw_tree(nodes.clone(), 1).compile(),
+                Err(CompileError::NotPreorder { node }),
+                "{nodes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn trees_deeper_than_the_bound_are_refused() {
+        // Preorder right spine: split 2k has its leaf at 2k+1 and the
+        // next split at 2k+2; the last leaf sits `depth` levels down.
+        let spine = |depth: usize| {
+            let mut nodes: Vec<Node> = (0..depth)
+                .flat_map(|k| [split(0, 2 * k + 1, 2 * k + 2), LEAF])
+                .collect();
+            nodes.push(LEAF);
+            raw_tree(nodes, 1)
+        };
+        assert_eq!(
+            spine(MAX_DEPTH).compile().map(|c| c.n_leaves()),
+            Ok(MAX_DEPTH + 1)
+        );
+        assert_eq!(spine(MAX_DEPTH + 1).compile(), Err(CompileError::TooDeep));
+        // Deep enough to overflow the stack if the lowering recursed all
+        // the way down.
+        assert_eq!(spine(200_000).compile(), Err(CompileError::TooDeep));
     }
 
     #[test]

@@ -121,6 +121,17 @@ impl DecisionTreeRegressor {
         self.n_features
     }
 
+    /// A tree with a raw node layout, as a deserialized artifact may carry
+    /// one: the compiler's structure checks are tested on these.
+    #[cfg(test)]
+    pub(crate) fn from_raw_parts(nodes: Vec<Node>, n_features: usize) -> Self {
+        Self {
+            nodes,
+            n_features,
+            ..Self::default()
+        }
+    }
+
     /// The flat node storage (empty before fitting). Crate-internal: the
     /// arena compiler lowers these into its SoA layout.
     pub(crate) fn nodes(&self) -> &[Node] {

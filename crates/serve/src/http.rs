@@ -1,7 +1,6 @@
-//! Minimal HTTP/1.1 JSON server over `std::net::TcpListener` — no
-//! external dependencies, which is the point: the container cannot fetch
-//! an async stack, and the API surface (three endpoints, JSON bodies) does
-//! not need one.
+//! Event-driven HTTP/1.1 JSON server over `std::net::TcpListener` and
+//! the vendored epoll shim — no async runtime: the API surface (a handful
+//! of endpoints, JSON bodies) does not need one.
 //!
 //! | Endpoint            | Method | Body                                     |
 //! |---------------------|--------|------------------------------------------|
@@ -33,9 +32,7 @@
 //! submits its rows to a shared [`BatchScheduler`] that coalesces
 //! micro-batches *across connections*, completing responses back through
 //! the reactor. Both queues shed with `503` + `retry-after` instead of
-//! growing without bound, and shutdown drains in-flight requests. The
-//! previous blocking thread-per-connection implementation survives as
-//! [`crate::reference`], as the benchmark baseline.
+//! growing without bound, and shutdown drains in-flight requests.
 
 use crate::persist::ModelKind;
 use crate::proto::ParsedRequest;
@@ -202,7 +199,7 @@ pub struct ErrorResponse {
 pub struct ServerOptions {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Worker threads sharing the listener.
+    /// Handler threads draining the reactor's dispatch queue.
     pub workers: usize,
     /// Largest accepted request body, bytes.
     pub max_body: usize,
@@ -218,10 +215,9 @@ impl Default for ServerOptions {
     }
 }
 
-/// Full event-driven server configuration: the compatible
-/// [`ServerOptions`] core plus the reactor, queueing, and batching knobs
-/// the event-driven rewrite added. [`start`] uses the defaults;
-/// [`start_with`] takes this.
+/// Full event-driven server configuration: the [`ServerOptions`] core
+/// plus the reactor, queueing, and batching knobs. [`start`] uses the
+/// defaults; [`start_with`] takes this.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, handler-thread count, and body cap.
@@ -318,10 +314,9 @@ impl ServerHandle {
 /// The server's birth time on both clocks: monotonic (`started`, drives
 /// uptime) and wall (`started_at`, pre-formatted RFC 3339 so `/healthz`
 /// never formats a timestamp per request).
-#[derive(Clone)]
-pub(crate) struct ServerClock {
-    pub(crate) started: Instant,
-    pub(crate) started_at: Arc<str>,
+struct ServerClock {
+    started: Instant,
+    started_at: Arc<str>,
 }
 
 /// Start serving `registry` per `opts` with default event-driven
@@ -449,45 +444,41 @@ struct HandlerCtx {
     direct_batch_rows: usize,
 }
 
-/// Serve one dispatched request on a handler thread. Most endpoints
-/// compute synchronously and answer through the responder; small
-/// `/predict` requests with a cache miss go asynchronous through the
-/// batch scheduler, and their accounting + response happen in the
-/// completion.
+/// Serve one dispatched request on a handler thread, by the endpoint it
+/// classifies as (so `POST /predict?x=1` is `/predict` like any other).
+/// Most endpoints compute synchronously and answer through the
+/// responder; small `/predict` requests with a cache miss go
+/// asynchronous through the batch scheduler, and their accounting +
+/// response happen in the completion.
 fn handle_job(job: Job, ctx: &HandlerCtx) {
     let Job {
         req,
         responder,
         hint,
     } = job;
-    let metrics = http_metrics();
-    let in_flight = metrics.in_flight.track();
+    let in_flight = http_metrics().in_flight.track();
     let started = lam_obs::enabled().then(Instant::now);
     let endpoint = endpoint_index(&req.method, &req.path);
-    if req.method == "POST" && req.path == "/predict" {
-        handle_predict(req, responder, ctx, hint, started, endpoint);
-        drop(in_flight);
-        return;
-    }
-    // No rows will be submitted from this request: release the
-    // scheduler's producer hint before potentially slow work (/tune) so
-    // co-batchable traffic is not held waiting on it.
-    drop(hint);
-    if req.method == "GET" && parse_artifact_path(&req.path).is_some() {
+    match (req.method.as_str(), ENDPOINTS[endpoint]) {
+        ("POST", "predict") => handle_predict(req, responder, ctx, hint, started, endpoint),
         // The artifact body is binary, so it bypasses the String-bodied
         // route() and answers through the byte responder.
-        let (status, content_type, body) = artifact(&req.path, &ctx.registry);
-        account_request(endpoint, status, started);
-        responder.send_bytes(status, content_type, body, None);
-        drop(in_flight);
-        return;
+        (_, "model-artifact") => {
+            drop(hint);
+            let (status, content_type, body) = artifact(&req.path, &ctx.registry);
+            account_request(endpoint, status, started);
+            responder.send_bytes(status, content_type, body, None);
+        }
+        _ => {
+            // No rows will be submitted from this request: release the
+            // scheduler's producer hint before potentially slow work
+            // (/tune) so co-batchable traffic is not held waiting on it.
+            drop(hint);
+            let (status, content_type, body) = route(&req, &ctx.registry, &ctx.clock);
+            account_request(endpoint, status, started);
+            responder.send(status, content_type, body, None);
+        }
     }
-    let (status, content_type, body) = route(&req, &ctx.registry, &ctx.clock);
-    metrics.requests[endpoint][status_class_index(status)].inc();
-    if let Some(started) = started {
-        metrics.duration[endpoint].record(started.elapsed().as_nanos() as u64);
-    }
-    responder.send(status, content_type, body, None);
     drop(in_flight);
 }
 
@@ -859,10 +850,9 @@ pub(crate) fn account_shed(req: &ParsedRequest) {
     }
 }
 
-/// Dispatch a request to its endpoint; returns
-/// `(status, content-type, body)`. Shared by the event-driven handler
-/// pool and the reference blocking server.
-pub(crate) fn route(
+/// Answer every endpoint but `POST /predict` and the artifact download
+/// (see [`handle_job`]); returns `(status, content-type, body)`.
+fn route(
     req: &ParsedRequest,
     registry: &Arc<ModelRegistry>,
     clock: &ServerClock,
@@ -917,7 +907,6 @@ pub(crate) fn route(
         ("GET", path) if path.starts_with("/workloads/") => {
             workload_detail(&path["/workloads/".len()..])
         }
-        ("POST", "/predict") => predict(req, registry),
         ("POST", "/tune") => tune(req, registry),
         ("GET", "/predict") => Err((405, "use POST for /predict".to_string())),
         ("GET", "/tune") => Err((405, "use POST for /tune".to_string())),
@@ -1136,17 +1125,16 @@ fn predict_phases() -> &'static PhaseSet {
 }
 
 /// A validated, resolved `/predict` request, ready to execute: either
-/// inline (reference server, large batches, all-cached rows) or via the
-/// cross-connection batch scheduler.
+/// inline (large batches, all-cached rows) or via the cross-connection
+/// batch scheduler.
 struct PredictPlan {
     key: ModelKey,
     model: Arc<LoadedModel>,
     rows: Vec<Vec<f64>>,
 }
 
-/// The parse → validate → resolve front half of `/predict`, shared by the
-/// synchronous [`predict`] route and the scheduler-backed
-/// [`handle_predict`]. Marks the phases it completes on `span`.
+/// The parse → validate → resolve front half of [`handle_predict`].
+/// Marks the phases it completes on `span`.
 fn plan_predict(
     body: &[u8],
     registry: &Arc<ModelRegistry>,
@@ -1178,25 +1166,6 @@ fn plan_predict(
         model,
         rows: parsed.rows,
     })
-}
-
-fn predict(req: &ParsedRequest, registry: &Arc<ModelRegistry>) -> RouteResult {
-    let start = Instant::now();
-    let mut span = predict_phases().start();
-    let plan = plan_predict(&req.body, registry, &mut span)?;
-    let outcome = plan
-        .model
-        .predict_checked(&plan.rows)
-        .map_err(bad_request)?;
-    span.mark("predict");
-    let response = json_ok(&PredictResponse {
-        model: plan.key.to_string(),
-        predictions: outcome.predictions,
-        cache_hits: outcome.cache_hits,
-        micros: start.elapsed().as_micros() as u64,
-    });
-    span.mark("serialize");
-    response
 }
 
 fn bad_request(e: ServeError) -> (u16, String) {

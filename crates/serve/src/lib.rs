@@ -4,8 +4,9 @@
 //! artifacts into durable, servable assets:
 //!
 //! * [`persist`] — save/load every trained model family (CART trees,
-//!   forests, extra trees, boosting, k-NN, linear, and the hybrid) as JSON
-//!   under `results/models/`, with bit-exact prediction round-trips;
+//!   forests, extra trees, boosting, k-NN, linear, and the hybrid) as
+//!   compact binary `.lamb` artifacts under `results/models/`, with
+//!   bit-exact prediction round-trips;
 //! * [`workload`] — [`workload::WorkloadId`], a validated interned-name
 //!   handle into the process-wide [`lam_core::catalog::WorkloadCatalog`],
 //!   so a saved model can rebuild its analytical component from first
@@ -25,8 +26,6 @@
 //!   batch queue shed with `503` + `retry-after` under overload;
 //! * [`proto`] — the incremental HTTP/1.1 request parser and response
 //!   encoder shared by the reactor's per-connection state machines;
-//! * [`reference`] — the original blocking thread-per-connection server,
-//!   kept as the benchmark baseline for the reactor;
 //! * [`loadgen`] — a load generator (closed-loop, pipelined, or open-loop)
 //!   reporting throughput and p50/p90/p95/p99 latency against a running
 //!   server.
@@ -59,7 +58,6 @@ pub mod loadgen;
 pub mod persist;
 pub mod proto;
 pub(crate) mod reactor;
-pub mod reference;
 pub mod registry;
 pub mod route;
 pub mod tuning;

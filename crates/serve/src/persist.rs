@@ -11,22 +11,16 @@
 //! workload id at load time (analytical models are closed-form and carry
 //! no trained state, so persisting their name is persisting the model).
 //!
-//! ## Two artifact formats
+//! ## Artifact format
 //!
-//! The canonical artifact is **compact binary** (`.lamb`, see
+//! Every artifact is **compact binary** (`.lamb`, see
 //! [`lam_data::binio`]): `f64` bit patterns are written verbatim in
 //! little-endian order behind a versioned magic header, so loading a
-//! forest is a bounds-checked byte walk with no float parsing — an
-//! order of magnitude faster cold start than JSON. [`SavedModel::save`]
-//! writes it; registries resolve it first.
-//!
-//! **JSON** (`.json`, via [`SavedModel::save_json`]) remains fully
-//! supported for human inspection and for artifacts written by earlier
-//! builds; [`SavedModel::load`] dispatches on the file extension and
-//! registries fall back to it when no binary artifact exists. Floats
-//! survive the JSON trip exactly too: the vendored `serde_json` writes
-//! shortest-exact `f64` and parses with `FromStr`, so both formats load
-//! bit-equal thresholds and leaves.
+//! forest is a bounds-checked byte walk with no float parsing.
+//! [`SavedModel::save`] writes it, [`SavedModel::load`] and
+//! [`SavedModel::from_lamb_bytes`] read it back (from disk or from a
+//! peer) and check the same invariants. A JSON dump for inspection is one
+//! `serde_json::to_string_pretty` call away; nothing loads one.
 //!
 //! Loading also *compiles*: [`SavedModel::into_predictor`] lowers tree
 //! ensembles into the [`lam_ml::compile`] SoA arena, so everything
@@ -219,17 +213,10 @@ impl SavedModel {
         format!("{workload}__{kind}__v{version}.lamb")
     }
 
-    /// JSON file name of this artifact: `{workload}__{kind}__v{n}.json`.
-    pub fn json_file_name(workload: WorkloadId, kind: ModelKind, version: u32) -> String {
-        format!("{workload}__{kind}__v{version}.json")
-    }
-
-    /// Parse an artifact file name (either format's extension) back into
-    /// its key parts; `None` for foreign files.
+    /// Parse an artifact file name back into its key parts; `None` for
+    /// foreign files.
     pub fn parse_file_name(name: &str) -> Option<(WorkloadId, ModelKind, u32)> {
-        let stem = name
-            .strip_suffix(".lamb")
-            .or_else(|| name.strip_suffix(".json"))?;
+        let stem = name.strip_suffix(".lamb")?;
         let mut parts = stem.split("__");
         let workload = parts.next()?.parse().ok()?;
         let kind = parts.next()?.parse().ok()?;
@@ -240,13 +227,14 @@ impl SavedModel {
         Some((workload, kind, version))
     }
 
-    /// Atomically publish `bytes` as `dir/name` (write to a temp file,
-    /// then rename): registries in other processes polling
+    /// Atomically publish artifact `bytes` as `dir/name` (write to a temp
+    /// file, then rename): registries in other processes polling
     /// `path.is_file()` never observe a truncated artifact. The temp name
     /// carries the pid *and* a process-wide counter so concurrent
     /// train-on-miss saves of the same key (the registry deliberately lets
-    /// racers both train) never collide on the temp path.
-    fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, ServeError> {
+    /// racers both train) never collide on the temp path. The registry
+    /// publishes a peer's bytes verbatim through this, once they compiled.
+    pub(crate) fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, ServeError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(dir)?;
@@ -287,26 +275,10 @@ impl SavedModel {
         Self::publish(dir, &name, &bytes)
     }
 
-    /// Write the model as pretty JSON under `dir` — the human-readable
-    /// sibling of [`SavedModel::save`], same atomic publication.
-    pub fn save_json(&self, dir: &Path) -> Result<PathBuf, ServeError> {
-        let name = Self::json_file_name(self.workload, self.kind, self.version);
-        let bytes = serde_json::to_string_pretty(self)?.into_bytes();
-        Self::publish(dir, &name, &bytes)
-    }
-
-    /// Load a model written by [`SavedModel::save`] or
-    /// [`SavedModel::save_json`], dispatching on the file extension
-    /// (`.lamb` → binary, anything else → JSON).
+    /// Load a model written by [`SavedModel::save`], with the checks of
+    /// [`SavedModel::from_lamb_bytes`].
     pub fn load(path: &Path) -> Result<Self, ServeError> {
-        let is_binary = path.extension().is_some_and(|e| e == "lamb");
-        let model: SavedModel = if is_binary {
-            lam_data::binio::read_binary(path)?
-        } else {
-            lam_data::io::read_json(path)?
-        };
-        model.validate(&path.display().to_string())?;
-        Ok(model)
+        Self::from_lamb_bytes(&std::fs::read(path)?, &path.display().to_string())
     }
 
     /// The invariants every artifact must satisfy before it may serve,
@@ -408,15 +380,16 @@ mod tests {
                 let name = SavedModel::file_name(w, k, 3);
                 assert!(name.ends_with(".lamb"));
                 assert_eq!(SavedModel::parse_file_name(&name), Some((w, k, 3)));
-                let json = SavedModel::json_file_name(w, k, 3);
-                assert!(json.ends_with(".json"));
-                assert_eq!(SavedModel::parse_file_name(&json), Some((w, k, 3)));
             }
         }
         assert_eq!(SavedModel::parse_file_name("notes.txt"), None);
-        assert_eq!(SavedModel::parse_file_name("a__b__v1.json"), None);
+        assert_eq!(SavedModel::parse_file_name("a__b__v1.lamb"), None);
         assert_eq!(
-            SavedModel::parse_file_name("fmm-small__cart__v1__extra.json"),
+            SavedModel::parse_file_name("fmm-small__cart__v1.json"),
+            None
+        );
+        assert_eq!(
+            SavedModel::parse_file_name("fmm-small__cart__v1__extra.lamb"),
             None
         );
     }
@@ -451,51 +424,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hybrid_config_invariant_enforced_on_load() {
+    /// A fitted one-feature linear model, wrapped as an artifact of
+    /// `kind`/`version` with the given hybrid config (consistent or not).
+    fn linear_artifact(kind: ModelKind, version: u32, hybrid: Option<HybridConfig>) -> SavedModel {
         use lam_ml::model::Regressor as _;
-        let dir = std::env::temp_dir().join("lam_serve_persist_badhybrid");
-        std::fs::create_dir_all(&dir).unwrap();
         let d = lam_data::Dataset::new(vec!["x".into()], vec![1.0, 2.0], vec![1.0, 2.0]).unwrap();
         let mut lin = LinearRegressor::new(0.0);
         lin.fit(&d).unwrap();
-        // Claims to be a hybrid but carries no hybrid config.
-        let path = dir.join("fmm-small__hybrid__v3.json");
-        let inconsistent = SavedModel {
+        SavedModel {
             format_version: FORMAT_VERSION,
             workload: fmm_small(),
-            kind: ModelKind::Hybrid,
-            version: 3,
+            kind,
+            version,
             feature_names: vec!["x".into()],
             trained_rows: 2,
-            hybrid: None,
+            hybrid,
             ml: TrainedMl::Linear(lin),
+        }
+    }
+
+    /// `save` writes any artifact; `load` must refuse it.
+    fn assert_load_rejects(model: &SavedModel, tag: &str) {
+        let dir = std::env::temp_dir().join(format!("lam_serve_persist_{tag}"));
+        let path = model.save(&dir).unwrap();
+        assert!(
+            matches!(SavedModel::load(&path), Err(ServeError::Json(_))),
+            "{tag}"
+        );
+    }
+
+    #[test]
+    fn hybrid_config_invariant_enforced_on_load() {
+        // Claims to be a hybrid but carries no hybrid config.
+        assert_load_rejects(&linear_artifact(ModelKind::Hybrid, 3, None), "badhybrid");
+        // A hybrid config on a pure-ML kind.
+        let config = fmm_small().hybrid_config();
+        assert_load_rejects(
+            &linear_artifact(ModelKind::Linear, 3, Some(config)),
+            "strayconfig",
+        );
+        // A stacked weight outside [0, 1] would extrapolate aggregations.
+        let config = HybridConfig {
+            stacked_weight: 1.5,
+            ..config
         };
-        lam_data::io::write_json(&inconsistent, &path).unwrap();
-        assert!(matches!(SavedModel::load(&path), Err(ServeError::Json(_))));
+        assert_load_rejects(
+            &linear_artifact(ModelKind::Hybrid, 4, Some(config)),
+            "badweight",
+        );
     }
 
     #[test]
     fn format_version_mismatch_rejected() {
-        let dir = std::env::temp_dir().join("lam_serve_persist_badver");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fmm-small__linear__v9.json");
-        // Hand-write a file with a wrong format version.
-        let mut lin = LinearRegressor::new(0.0);
-        let d = lam_data::Dataset::new(vec!["x".into()], vec![1.0, 2.0], vec![1.0, 2.0]).unwrap();
-        use lam_ml::model::Regressor;
-        lin.fit(&d).unwrap();
-        let bad = SavedModel {
-            format_version: FORMAT_VERSION + 1,
-            workload: fmm_small(),
-            kind: ModelKind::Linear,
-            version: 9,
-            feature_names: vec!["x".into()],
-            trained_rows: 2,
-            hybrid: None,
-            ml: TrainedMl::Linear(lin),
-        };
-        lam_data::io::write_json(&bad, &path).unwrap();
-        assert!(matches!(SavedModel::load(&path), Err(ServeError::Json(_))));
+        let mut bad = linear_artifact(ModelKind::Linear, 9, None);
+        bad.format_version = FORMAT_VERSION + 1;
+        assert_load_rejects(&bad, "badver");
     }
 }

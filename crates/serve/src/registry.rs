@@ -4,19 +4,18 @@
 //! Resolution order on [`ModelRegistry::get`]:
 //!
 //! 1. **memo** — models already loaded this process, shared behind `Arc`;
-//! 2. **binary artifact** — a compact `.lamb` file under the registry
-//!    root written by an earlier process (the canonical format — loads
-//!    without any float parsing);
-//! 3. **JSON artifact** — a `.json` file under the root (artifacts from
-//!    earlier builds, or written for inspection);
-//! 4. **peer fetch** — when the registry was built with
+//! 2. **artifact** — a `.lamb` file under the registry root written by
+//!    an earlier process (the only model format; any other file there,
+//!    such as a `.json` left by an older build, is ignored);
+//! 3. **peer fetch** — when the registry was built with
 //!    [`ModelRegistry::with_peers`], ask each peer's
-//!    `GET /models/{workload}/{kind}/artifact` for the binary artifact;
-//!    a hit is validated, persisted locally, and memoized — a cold
-//!    replica pulls an already-trained model instead of re-training it;
-//! 5. **train** — generate the workload dataset, fit the requested model
+//!    `GET /models/{workload}/{kind}/artifact` for its artifact; a hit
+//!    that decodes, carries the requested key, and compiles is persisted
+//!    locally byte for byte and memoized — a cold replica pulls an
+//!    already-trained model instead of re-training it;
+//! 4. **train** — generate the workload dataset, fit the requested model
 //!    family deterministically (seed derived from the key), persist the
-//!    binary artifact, then memoize it.
+//!    artifact, then memoize it.
 //!
 //! Loading arena-compiles tree ensembles ([`SavedModel::into_predictor`]),
 //! so every served prediction runs the blocked, branchless fast path.
@@ -191,7 +190,6 @@ pub struct CatalogEntry {
 struct ResolutionCounters {
     memo: Arc<Counter>,
     disk_lamb: Arc<Counter>,
-    disk_json: Arc<Counter>,
     peer: Arc<Counter>,
     train: Arc<Counter>,
 }
@@ -208,7 +206,6 @@ impl ResolutionCounters {
         Self {
             memo: counter("memo"),
             disk_lamb: counter("disk-lamb"),
-            disk_json: counter("disk-json"),
             peer: counter("peer"),
             train: counter("train"),
         }
@@ -250,19 +247,9 @@ impl ModelRegistry {
         PathBuf::from("results/models")
     }
 
-    /// Canonical (binary) artifact path for a key.
+    /// Artifact path for a key.
     pub fn path_for(&self, key: ModelKey) -> PathBuf {
-        self.root
-            .join(SavedModel::file_name(key.workload, key.kind, key.version))
-    }
-
-    /// JSON artifact path for a key (the fallback format).
-    pub fn json_path_for(&self, key: ModelKey) -> PathBuf {
-        self.root.join(SavedModel::json_file_name(
-            key.workload,
-            key.kind,
-            key.version,
-        ))
+        self.root.join(artifact_name(key))
     }
 
     /// Registry root directory.
@@ -275,8 +262,8 @@ impl ModelRegistry {
         self.memo.lock().expect("registry poisoned").len()
     }
 
-    /// Resolve a key: memo, then disk, then train + persist (see module
-    /// docs for the concurrency contract).
+    /// Resolve a key: memo, then disk, then peers, then train + persist
+    /// (see module docs for the concurrency contract).
     pub fn get(&self, key: ModelKey) -> Result<Arc<LoadedModel>, ServeError> {
         if let Some(hit) = self.memo.lock().expect("registry poisoned").get(&key) {
             self.resolutions.memo.inc();
@@ -286,63 +273,37 @@ impl ModelRegistry {
         // training run), so it earns a `registry.resolve` span hung off
         // the requesting handler's thread-local trace context.
         let resolve_started = Instant::now();
-        let mut resolved_via = "disk-lamb";
-        // Binary first, JSON fallback (see module docs).
-        let on_disk = [self.path_for(key), self.json_path_for(key)]
-            .into_iter()
-            .find(|p| p.is_file());
-        let saved = match on_disk {
-            Some(path) => {
-                if path.extension().is_some_and(|e| e == "lamb") {
-                    self.resolutions.disk_lamb.inc();
-                } else {
-                    self.resolutions.disk_json.inc();
-                    resolved_via = "disk-json";
-                }
-                let saved = SavedModel::load(&path)?;
-                // A renamed or tampered artifact must not be served under
-                // the requested identity (wrong schema, silently wrong
-                // answers).
-                let embedded = ModelKey::new(saved.workload, saved.kind, saved.version);
-                if embedded != key {
-                    return Err(ServeError::Json(format!(
-                        "artifact {} embeds key {embedded}, expected {key}",
-                        path.display()
-                    )));
-                }
-                saved
+        let path = self.path_for(key);
+        let (loaded, resolved_via) = if path.is_file() {
+            self.resolutions.disk_lamb.inc();
+            let saved = SavedModel::load(&path)?;
+            expect_key(&saved, key, &path.display())?;
+            (LoadedModel::from_saved(key, saved)?, "disk-lamb")
+        } else if let Some(loaded) = self.fetch_from_peers(key) {
+            (loaded, "peer")
+        } else {
+            self.resolutions.train.inc();
+            // Train duration is a cold-path metric: interning the
+            // (workload, kind) labels here costs nothing that matters
+            // next to the training run itself.
+            let timer = lam_obs::enabled().then(Instant::now);
+            let trained = train(key)?;
+            if let Some(t) = timer {
+                lam_obs::global()
+                    .histogram(
+                        "lam_train_duration_ns",
+                        "Train-on-miss model training time, nanoseconds.",
+                        &[
+                            ("workload", &key.workload.to_string()),
+                            ("kind", key.kind.name()),
+                        ],
+                    )
+                    .record(t.elapsed().as_nanos() as u64);
             }
-            None => match self.fetch_from_peers(key) {
-                Some(fetched) => {
-                    resolved_via = "peer";
-                    fetched
-                }
-                None => {
-                    resolved_via = "train";
-                    self.resolutions.train.inc();
-                    // Train duration is a cold-path metric: interning the
-                    // (workload, kind) labels here costs nothing that
-                    // matters next to the training run itself.
-                    let timer = lam_obs::enabled().then(Instant::now);
-                    let trained = train(key)?;
-                    if let Some(t) = timer {
-                        lam_obs::global()
-                            .histogram(
-                                "lam_train_duration_ns",
-                                "Train-on-miss model training time, nanoseconds.",
-                                &[
-                                    ("workload", &key.workload.to_string()),
-                                    ("kind", key.kind.name()),
-                                ],
-                            )
-                            .record(t.elapsed().as_nanos() as u64);
-                    }
-                    trained.save(&self.root)?;
-                    trained
-                }
-            },
+            trained.save(&self.root)?;
+            (LoadedModel::from_saved(key, trained)?, "train")
         };
-        let loaded = Arc::new(LoadedModel::from_saved(key, saved)?);
+        let loaded = Arc::new(loaded);
         if let Some(parent) = lam_obs::trace::current() {
             lam_obs::recorder::global().record(
                 SpanRecord::finish(
@@ -361,68 +322,43 @@ impl ModelRegistry {
         Ok(Arc::clone(memo.entry(key).or_insert(loaded)))
     }
 
-    /// Ask each configured peer for the artifact, first answer wins. A
-    /// fetched artifact is validated (embedded key must match the
-    /// request) and persisted locally so the *next* cold start resolves
+    /// Ask each configured peer for the artifact, first usable answer
+    /// wins. A fetched artifact must decode, carry the requested key, and
+    /// compile before anything keeps it; only then are its bytes
+    /// persisted locally, verbatim, so the *next* cold start resolves
     /// from disk. Any per-peer failure — connect refused, non-200, bytes
-    /// that do not decode — moves on to the next peer; `None` falls the
-    /// caller through to training.
-    fn fetch_from_peers(&self, key: ModelKey) -> Option<SavedModel> {
-        for peer in &self.peers {
-            let bytes = match crate::cluster::fetch_artifact(peer, key) {
-                Ok(bytes) => bytes,
-                Err(_) => continue,
-            };
+    /// that do not decode or compile — moves on to the next peer; `None`
+    /// falls the caller through to training.
+    fn fetch_from_peers(&self, key: ModelKey) -> Option<LoadedModel> {
+        self.peers.iter().find_map(|peer| {
+            let bytes = crate::cluster::fetch_artifact(peer, key).ok()?;
             let source = format!("peer {peer}");
-            let saved = match SavedModel::from_lamb_bytes(&bytes, &source) {
-                Ok(saved) => saved,
-                Err(_) => continue,
-            };
-            // Same defense as the disk path: a peer serving bytes for the
-            // wrong identity must not be served under the requested key.
-            let embedded = ModelKey::new(saved.workload, saved.kind, saved.version);
-            if embedded != key {
-                continue;
-            }
+            let saved = SavedModel::from_lamb_bytes(&bytes, &source).ok()?;
+            expect_key(&saved, key, &source).ok()?;
+            let loaded = LoadedModel::from_saved(key, saved).ok()?;
             self.resolutions.peer.inc();
             // Best-effort local persist: a full disk degrades the next
             // cold start back to peer-fetch, it does not fail this one.
-            let _ = saved.save(&self.root);
-            return Some(saved);
-        }
-        None
+            let _ = SavedModel::publish(&self.root, &artifact_name(key), &bytes);
+            Some(loaded)
+        })
     }
 
-    /// The binary artifact bytes for a key, *without ever training*: the
-    /// `.lamb` file's bytes when present, else a conversion of the
-    /// `.json` artifact, else `None` (the artifact endpoint's 404). Peers
-    /// poll each other through this, so a miss must stay cheap.
+    /// The artifact bytes for a key, *without ever training*: the `.lamb`
+    /// file's bytes when present, else `None` (the artifact endpoint's
+    /// 404). Peers poll each other through this, so a miss must stay
+    /// cheap.
     pub fn artifact_bytes(&self, key: ModelKey) -> Result<Option<Vec<u8>>, ServeError> {
-        let lamb = self.path_for(key);
-        if lamb.is_file() {
-            // Validate before serving: replicating a corrupt or renamed
-            // artifact across the cluster would be worse than a 404.
-            let saved = SavedModel::load(&lamb)?;
-            if ModelKey::new(saved.workload, saved.kind, saved.version) != key {
-                return Err(ServeError::Json(format!(
-                    "artifact {} embeds a different key, refusing to serve it",
-                    lamb.display()
-                )));
-            }
-            return Ok(Some(std::fs::read(&lamb)?));
+        let path = self.path_for(key);
+        if !path.is_file() {
+            return Ok(None);
         }
-        let json = self.json_path_for(key);
-        if json.is_file() {
-            let saved = SavedModel::load(&json)?;
-            if ModelKey::new(saved.workload, saved.kind, saved.version) != key {
-                return Err(ServeError::Json(format!(
-                    "artifact {} embeds a different key, refusing to serve it",
-                    json.display()
-                )));
-            }
-            return Ok(Some(saved.to_lamb_bytes()?));
-        }
-        Ok(None)
+        // Validate before serving: replicating a corrupt or renamed
+        // artifact across the cluster would be worse than a 404.
+        let bytes = std::fs::read(&path)?;
+        let source = path.display().to_string();
+        expect_key(&SavedModel::from_lamb_bytes(&bytes, &source)?, key, &source)?;
+        Ok(Some(bytes))
     }
 
     /// Everything the registry can serve without training: artifacts on
@@ -451,26 +387,39 @@ impl ModelRegistry {
                     continue;
                 };
                 let key = ModelKey::new(workload, kind, version);
-                // A key persisted in both formats catalogs once, under its
-                // canonical binary path.
-                entries
-                    .entry(key)
-                    .and_modify(|e| {
-                        if name.ends_with(".lamb") {
-                            e.path = self.root.join(name);
-                        }
-                    })
-                    .or_insert_with(|| CatalogEntry {
-                        key,
-                        path: self.root.join(name),
-                        loaded: false,
-                    });
+                entries.entry(key).or_insert_with(|| CatalogEntry {
+                    key,
+                    path: self.root.join(name),
+                    loaded: false,
+                });
             }
         }
         let mut list: Vec<CatalogEntry> = entries.into_values().collect();
         list.sort_by_key(|e| e.key.to_string());
         Ok(list)
     }
+}
+
+/// File name of a key's artifact under a registry root.
+fn artifact_name(key: ModelKey) -> String {
+    SavedModel::file_name(key.workload, key.kind, key.version)
+}
+
+/// Refuse an artifact whose embedded identity is not `key`: a renamed or
+/// tampered artifact must not be served under the requested identity
+/// (wrong schema, silently wrong answers).
+fn expect_key(
+    saved: &SavedModel,
+    key: ModelKey,
+    source: &dyn fmt::Display,
+) -> Result<(), ServeError> {
+    let embedded = ModelKey::new(saved.workload, saved.kind, saved.version);
+    if embedded != key {
+        return Err(ServeError::Json(format!(
+            "artifact {source} embeds key {embedded}, expected {key}"
+        )));
+    }
+    Ok(())
 }
 
 /// Train the model a key names, deterministically. The workload dataset
@@ -617,10 +566,9 @@ mod tests {
                 .counter("lam_registry_resolutions_total", "", &[("path", path)])
                 .get()
         };
-        let (memo0, lamb0, json0, train0) = (
+        let (memo0, lamb0, train0) = (
             path_counter("memo"),
             path_counter("disk-lamb"),
-            path_counter("disk-json"),
             path_counter("train"),
         );
         let reg = temp_registry("obs_paths");
@@ -628,16 +576,13 @@ mod tests {
         reg.get(key).unwrap(); // cold: train
         reg.get(key).unwrap(); // memo hit
         let reg2 = ModelRegistry::new(reg.root().to_path_buf());
-        reg2.get(key).unwrap(); // binary artifact from disk
-        let reg3 = temp_registry("obs_paths_json");
-        train(key).unwrap().save_json(reg3.root()).unwrap();
-        reg3.get(key).unwrap(); // JSON fallback
-                                // Other tests in this binary bump the same global series
-                                // concurrently, so assert growth, not exact values.
+        reg2.get(key).unwrap(); // artifact from disk
+
+        // Other tests in this binary bump the same global series
+        // concurrently, so assert growth, not exact values.
         assert!(path_counter("train") > train0);
         assert!(path_counter("memo") > memo0);
         assert!(path_counter("disk-lamb") > lamb0);
-        assert!(path_counter("disk-json") > json0);
     }
 
     #[test]
@@ -660,19 +605,26 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_resolves_when_no_binary_exists() {
-        let reg = temp_registry("json_fallback");
+    fn stray_json_artifacts_are_neither_read_nor_catalogued() {
+        let reg = temp_registry("stray_json");
         let key = ModelKey::new(fmm_small(), ModelKind::Cart, 1);
-        train(key).unwrap().save_json(reg.root()).unwrap();
-        assert!(!reg.path_for(key).exists());
+        // What a pre-binary build left behind: a JSON artifact under the
+        // old name. Corrupt, so reading it at all would fail the get.
+        std::fs::create_dir_all(reg.root()).unwrap();
+        let json = reg.root().join("fmm-small__cart__v1.json");
+        std::fs::write(&json, "{ not json").unwrap();
+        assert!(reg.catalog().unwrap().is_empty());
         let model = reg.get(key).unwrap();
-        // Train-on-miss would have persisted a binary artifact; its
-        // absence proves the JSON fallback served the request.
-        assert!(
-            !reg.path_for(key).exists(),
-            "resolved from JSON without retraining"
-        );
         assert_eq!(model.key, key);
+        // The key trained: its artifact is the deterministic retrain.
+        assert_eq!(
+            std::fs::read(reg.path_for(key)).unwrap(),
+            train(key).unwrap().to_lamb_bytes().unwrap()
+        );
+        let catalog = reg.catalog().unwrap();
+        assert_eq!(catalog.len(), 1);
+        assert_eq!(catalog[0].path, reg.path_for(key));
+        assert_eq!(std::fs::read(&json).unwrap(), b"{ not json");
     }
 
     #[test]
@@ -680,9 +632,10 @@ mod tests {
         let reg = temp_registry("binary_first");
         let key = ModelKey::new(fmm_small(), ModelKind::Cart, 1);
         train(key).unwrap().save(reg.root()).unwrap();
-        // A corrupt JSON sibling must never be read when the binary
-        // artifact exists.
-        std::fs::write(reg.json_path_for(key), "{ not json").unwrap();
+        // A corrupt JSON sibling left by a pre-binary build must never be
+        // read when the binary artifact exists.
+        let json = reg.path_for(key).with_extension("json");
+        std::fs::write(json, "{ not json").unwrap();
         assert!(reg.get(key).is_ok());
     }
 
@@ -692,10 +645,78 @@ mod tests {
         let key = ModelKey::new(fmm_small(), ModelKind::Linear, 1);
         let trained = train(key).unwrap();
         trained.save(reg.root()).unwrap();
-        trained.save_json(reg.root()).unwrap();
+        // A JSON dump of the same model beside its artifact is not listed.
+        let dump = serde_json::to_string_pretty(&trained).unwrap();
+        std::fs::write(reg.path_for(key).with_extension("json"), dump).unwrap();
         let catalog = reg.catalog().unwrap();
         assert_eq!(catalog.len(), 1);
         assert_eq!(catalog[0].path, reg.path_for(key), "canonical binary path");
+    }
+
+    /// Point the first split found in `value` at a feature column far past
+    /// any schema. The artifact still decodes and passes
+    /// [`SavedModel::from_lamb_bytes`]; only compiling it fails.
+    fn tamper_first_split(value: &mut serde::Value) -> bool {
+        match value {
+            serde::Value::Object(fields) => fields.iter_mut().any(|(name, v)| {
+                if name == "feature" {
+                    *v = serde::Value::Number(serde::Number::PosInt(1_000_000));
+                    true
+                } else {
+                    tamper_first_split(v)
+                }
+            }),
+            serde::Value::Array(items) => items.iter_mut().any(tamper_first_split),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn peer_artifact_that_fails_to_compile_is_neither_kept_nor_served() {
+        use serde::{Deserialize as _, Serialize as _};
+        let key = ModelKey::new(fmm_small(), ModelKind::Cart, 1);
+        let mut value = train(key).unwrap().to_value();
+        assert!(tamper_first_split(&mut value));
+        let tampered = SavedModel::from_value(&value).unwrap();
+        // The peer's own disk holds the tampered artifact and serves it.
+        let peer_reg = temp_registry("tampered_peer");
+        tampered.save(peer_reg.root()).unwrap();
+        let tampered_bytes = std::fs::read(peer_reg.path_for(key)).unwrap();
+        assert_eq!(
+            peer_reg.artifact_bytes(key).unwrap().as_deref(),
+            Some(&tampered_bytes[..])
+        );
+        let opts = crate::http::ServerOptions {
+            workers: 1,
+            ..Default::default()
+        };
+        let peer = crate::http::start(Arc::new(peer_reg), opts).unwrap();
+
+        let peers_before = lam_obs::global()
+            .counter("lam_registry_resolutions_total", "", &[("path", "peer")])
+            .get();
+        let mut cold = temp_registry("tampered_cold");
+        cold.peers = vec![peer.local_addr().to_string()];
+        let model = cold.get(key).unwrap();
+        peer.stop();
+        // No other test in this binary resolves through a peer.
+        let peers_after = lam_obs::global()
+            .counter("lam_registry_resolutions_total", "", &[("path", "peer")])
+            .get();
+        assert_eq!(peers_after, peers_before, "no peer resolution recorded");
+        let fresh = train(key).unwrap();
+        assert_eq!(
+            std::fs::read(cold.path_for(key)).unwrap(),
+            fresh.to_lamb_bytes().unwrap(),
+            "the kept artifact is the freshly trained one"
+        );
+        let reference = fresh.into_predictor().unwrap();
+        for row in fmm_small().sample_rows(64) {
+            assert_eq!(
+                model.predict_row_uncached(&row).to_bits(),
+                reference.predict_row(&row).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -263,11 +263,17 @@ fn catalog_lookup_error_paths() {
     let fmm_small = WorkloadId::get("fmm-small").unwrap();
     let trained = lam_serve::registry::train(ModelKey::new(fmm_small, ModelKind::Linear, 1))
         .expect("training succeeds");
-    let json = serde_json::to_string(&trained).unwrap();
-    let tampered = json.replace("\"fmm-small\"", "\"never-registered\"");
-    assert_ne!(json, tampered, "envelope must embed the workload name");
-    let path = dir.join("never-registered__linear__v1.json");
-    std::fs::write(&path, tampered).unwrap();
+    let mut envelope = serde::Serialize::to_value(&trained);
+    let serde::Value::Object(fields) = &mut envelope else {
+        panic!("a saved model serializes as an object");
+    };
+    let (_, workload) = fields
+        .iter_mut()
+        .find(|(name, _)| name == "workload")
+        .expect("envelope must embed the workload name");
+    *workload = serde::Value::String("never-registered".to_string());
+    let path = dir.join("never-registered__linear__v1.lamb");
+    std::fs::write(&path, lam_data::binio::to_bytes(&envelope).unwrap()).unwrap();
     let err = SavedModel::load(&path).expect_err("unknown workload must not load");
     assert!(
         err.to_string().contains("unknown workload"),

@@ -134,6 +134,14 @@ fn wrong_arity_rows_return_400_and_connection_survives() {
 fn malformed_json_returns_400_and_connection_survives() {
     let (handle, _registry, addr) = start("json", 1 << 20);
     let mut client = HttpClient::connect(&addr).expect("connects");
+    // `rows` nested 20,000 deep in 40 KB: a parser that recursed once per
+    // level would overflow the handler thread's stack and abort the
+    // server.
+    let deep = format!(
+        r#"{{"workload":"spmv-small","kind":"knn","rows":{}{}}}"#,
+        "[".repeat(20_000),
+        "]".repeat(20_000)
+    );
     for body in [
         "{not json",
         "",
@@ -141,9 +149,10 @@ fn malformed_json_returns_400_and_connection_survives() {
         r#"{"workload":"spmv-small"}"#,
         r#"{"workload":"no-such","kind":"knn","rows":[[1,2,3,4]]}"#,
         r#"{"workload":"spmv-small","kind":"no-such","rows":[[1,2,3,4]]}"#,
+        &deep,
     ] {
         let (status, _) = client.post("/predict", body).expect("round-trip");
-        assert_eq!(status, 400, "body `{body}`");
+        assert_eq!(status, 400, "body `{body:.80}`");
     }
     assert_connection_usable(&mut client);
     handle.stop();

@@ -7,12 +7,11 @@
 //! The proptest strategy draws the model family and artifact version;
 //! the scenario is exercised exhaustively (every row of the space), so a
 //! pass means no float in any persisted tree threshold, leaf, forest
-//! member, k-NN training row, or linear coefficient drifted through
-//! either round trip — the compact binary format (`.lamb`, the canonical
-//! artifact) or JSON (the fallback). Each comparison also pits the
-//! arena-compiled serving predictor against the interpreted reference
-//! assembly, so a pass certifies the whole chain:
-//! train → persist (both formats) → load → compile ≡ train → interpret.
+//! member, k-NN training row, or linear coefficient drifted through the
+//! `.lamb` round trip. Each comparison also pits the arena-compiled
+//! serving predictor against the interpreted reference assembly, so a
+//! pass certifies the whole chain:
+//! train → persist → load → compile ≡ train → interpret.
 
 use lam_serve::persist::{ModelKind, SavedModel};
 use lam_serve::registry::{train, ModelKey};
@@ -33,31 +32,25 @@ fn assert_roundtrip_bit_identical(
     let trained = train(key).expect("training succeeds");
     let dir =
         std::env::temp_dir().join(format!("lam_serve_roundtrip_{workload}_{kind}_v{version}"));
-    let bin_path = trained.save(&dir).expect("binary save succeeds");
-    let json_path = trained.save_json(&dir).expect("json save succeeds");
-    prop_assert!(bin_path != json_path);
-    let from_bin = SavedModel::load(&bin_path).expect("binary load succeeds");
-    let from_json = SavedModel::load(&json_path).expect("json load succeeds");
+    let path = trained.save(&dir).expect("save succeeds");
+    let reloaded = SavedModel::load(&path).expect("load succeeds");
 
     // The interpreted assembly of the in-memory model is the reference;
-    // both reloads serve through the compiled fast path.
+    // the reload serves through the compiled fast path.
     let reference = trained.into_interpreted_predictor();
-    let compiled_bin = from_bin.into_predictor().expect("compiles");
-    let compiled_json = from_json.into_predictor().expect("compiles");
+    let compiled = reloaded.into_predictor().expect("compiles");
     let data = workload.dataset();
     for i in 0..data.len() {
         let row = data.row(i);
         let a = reference.predict_row(row);
-        let b = compiled_bin.predict_row(row);
-        let c = compiled_json.predict_row(row);
+        let b = compiled.predict_row(row);
         prop_assert!(
-            a.to_bits() == b.to_bits() && a.to_bits() == c.to_bits(),
-            "{}: row {} diverged after reload: interpreted {} vs binary {} vs json {}",
+            a.to_bits() == b.to_bits(),
+            "{}: row {} diverged after reload: interpreted {} vs compiled {}",
             key,
             i,
             a,
-            b,
-            c
+            b
         );
     }
     Ok(())

@@ -573,10 +573,10 @@ fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
     let handle = http::start_with(Arc::clone(&registry), base_config(2)).expect("binds");
     let addr = handle.local_addr().to_string();
     let mut client = HttpClient::connect(&addr).expect("connects");
-    let mut traced = |body: &str| {
+    let mut traced = |path: &str, body: &str| {
         let ctx = TraceContext::root().with_force();
         client
-            .send_traced("POST", "/predict", body, Some(&ctx.header_value()))
+            .send_traced("POST", path, body, Some(&ctx.header_value()))
             .expect("sends");
         let (status, resp) = client.recv().expect("response");
         assert_eq!(status, 200, "{resp}");
@@ -587,13 +587,13 @@ fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
     for rows in [off_grid_rows(1000, 1), off_grid_rows(2000, 32)] {
         let n = rows.len();
         let body = predict_body("cart", rows);
-        let (cold, cold_spans) = traced(&body);
+        let (cold, cold_spans) = traced("/predict", &body);
         assert_eq!(cold.cache_hits, 0, "{n} rows were cold");
         assert!(
             cold_spans.iter().any(|s| s == "serve.queue"),
             "a cold {n}-row request is coalesced: {cold_spans:?}"
         );
-        let (warm, warm_spans) = traced(&body);
+        let (warm, warm_spans) = traced("/predict", &body);
         assert_eq!(warm.cache_hits, n as u64, "{n} rows were warm");
         assert_eq!(
             bits(&warm.predictions),
@@ -604,6 +604,16 @@ fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
             warm_spans.iter().any(|s| s == "serve.predict")
                 && !warm_spans.iter().any(|s| s == "serve.queue"),
             "a warm {n}-row request is answered on the handler: {warm_spans:?}"
+        );
+        // A query string does not change the endpoint: same path, same
+        // spans, same answer.
+        let (probe, probe_spans) = traced("/predict?probe=1", &body);
+        assert_eq!(bits(&probe.predictions), bits(&warm.predictions));
+        assert!(
+            ["serve.request", "serve.predict"]
+                .iter()
+                .all(|name| probe_spans.iter().any(|s| s == name)),
+            "/predict?probe=1 is served like /predict: {probe_spans:?}"
         );
     }
     handle.stop();

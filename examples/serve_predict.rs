@@ -16,7 +16,7 @@ fn wid(name: &str) -> WorkloadId {
 
 fn main() {
     // 1. Resolve the model through the registry: trains + persists under
-    //    results/models/ on first run, loads the JSON artifact afterwards.
+    //    results/models/ on first run, loads the `.lamb` artifact afterwards.
     let registry = Arc::new(ModelRegistry::new(ModelRegistry::default_root()));
     let key = ModelKey::new(wid("fmm-small"), ModelKind::Hybrid, 1);
     let model = registry.get(key).expect("train or load hybrid model");
