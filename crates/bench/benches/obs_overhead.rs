@@ -1,5 +1,5 @@
-//! Instrumentation overhead on the cached-predict hot path: the same
-//! warm-cache batched predict, with metric recording enabled vs disabled
+//! Instrumentation overhead on the table-hit predict hot path: the same
+//! batched predict of grid rows, with metric recording enabled vs disabled
 //! (`lam_obs::set_enabled`). The disabled side is the uninstrumented
 //! baseline — every call site reduces to one relaxed atomic load — so
 //! the pair bounds what the counters/histograms/span timers cost.
@@ -28,7 +28,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead_cached_predict");
     for batch in BATCHES {
         let rows = workload.sample_rows(batch);
-        model.predict(&rows); // warm the prediction cache
         group.throughput(Throughput::Elements(batch as u64));
         lam_obs::set_enabled(true);
         group.bench_with_input(BenchmarkId::new("instrumented", batch), &rows, |b, rows| {

@@ -1,6 +1,6 @@
 //! Serving-path prediction latency per model kind: single-row and
-//! 256-row batched, cold (cache-bypassing model walk) vs. cache-hit
-//! (through the sharded prediction cache).
+//! 256-row batched, cold (table-bypassing model walk) vs. hit (grid rows,
+//! answered from the model's space table through the engine).
 //!
 //! Run: `cargo bench -p lam-bench --bench serve_predict`
 
@@ -30,9 +30,8 @@ fn bench_serve_predict(c: &mut Criterion) {
         single.bench_with_input(BenchmarkId::new("cold", kind), &row, |b, row| {
             b.iter(|| model.predict_row_uncached(row))
         });
-        // Warm the cache, then measure the hit path (lookup + engine).
+        // A grid row: the hit path (table lookup + engine).
         let warm = vec![row.clone()];
-        model.predict(&warm);
         single.bench_with_input(BenchmarkId::new("hit", kind), &warm, |b, warm| {
             b.iter(|| model.predict(warm).predictions[0])
         });
@@ -45,7 +44,7 @@ fn bench_serve_predict(c: &mut Criterion) {
         let model = registry
             .get(ModelKey::new(workload, kind, 1))
             .expect("train or load");
-        // Cold per element: walk the model for every row, no cache.
+        // Cold per element: walk the model for every row, no table.
         batched.bench_with_input(BenchmarkId::new("cold", kind), &rows, |b, rows| {
             b.iter(|| {
                 rows.iter()
@@ -53,7 +52,6 @@ fn bench_serve_predict(c: &mut Criterion) {
                     .sum::<f64>()
             })
         });
-        model.predict(&rows); // warm
         batched.bench_with_input(BenchmarkId::new("hit", kind), &rows, |b, rows| {
             b.iter(|| model.predict(rows).predictions.len())
         });

@@ -1,5 +1,5 @@
 //! Observability overhead report: instrumented vs uninstrumented
-//! cached-predict ns/row (batch 1 / 64 / 256) plus the `/metrics`
+//! table-hit predict ns/row (batch 1 / 64 / 256) plus the `/metrics`
 //! render cost, written to `results/BENCH_obs.json`.
 //!
 //! "Uninstrumented" is `lam_obs::set_enabled(false)` — every call site
@@ -25,7 +25,7 @@ use std::time::Instant;
 const BATCHES: [usize; 3] = [1, 64, 256];
 const TRIALS: usize = 25;
 
-/// Overhead at one batch size, ns/row through the warm-cache path.
+/// Overhead at one batch size, ns/row through the table-hit path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct OverheadCell {
     batch: usize,
@@ -101,7 +101,7 @@ fn main() {
         .get(ModelKey::new(workload, kind, 1))
         .expect("train or load");
 
-    println!("observability overhead: cached predict, {workload}/{kind}\n");
+    println!("observability overhead: table-hit predict, {workload}/{kind}\n");
     println!(
         "  {:>6} | {:>16} {:>18} {:>9}",
         "batch", "instrumented/row", "uninstrumented/row", "overhead"
@@ -111,7 +111,6 @@ fn main() {
     let mut cells = Vec::new();
     for batch in BATCHES {
         let rows = workload.sample_rows(batch);
-        model.predict(&rows); // warm the prediction cache
         let (on, off) = min_ns_pair(
             || {
                 lam_obs::set_enabled(true);

@@ -1,4 +1,4 @@
-//! Distributed-tracing overhead report: traced vs untraced warm-cache
+//! Distributed-tracing overhead report: traced vs untraced table-hit
 //! `/predict` round-trips (batch 1 / 64 / 256) through a real in-process
 //! HTTP server, written to `results/BENCH_trace.json`.
 //!
@@ -32,7 +32,7 @@ const TRIALS: usize = 25;
 const BLOCK_ITERS: usize = 60;
 const HEADER_POOL: usize = 1024;
 
-/// Overhead at one batch size, ns/row through the warm-cache HTTP path.
+/// Overhead at one batch size, ns/row through the table-hit HTTP path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct OverheadCell {
     batch: usize,
@@ -107,7 +107,7 @@ fn main() {
         .map(|_| TraceContext::root().header_value())
         .collect();
 
-    println!("tracing overhead: warm-cache HTTP /predict, {workload}/{kind}\n");
+    println!("tracing overhead: table-hit HTTP /predict, {workload}/{kind}\n");
     println!(
         "  {:>6} | {:>12} {:>14} {:>9}",
         "batch", "traced/row", "untraced/row", "overhead"
@@ -129,7 +129,7 @@ fn main() {
             rows,
         })
         .expect("request serializes");
-        // Warm the prediction cache and both connections.
+        // Warm both connections (grid rows are table hits already).
         let (status, resp) = traced_client.post("/predict", &body).expect("warm predict");
         assert_eq!(status, 200, "warm predict failed: {resp}");
         let (status, _) = untraced_client

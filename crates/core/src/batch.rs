@@ -1,153 +1,192 @@
-//! Batched inference: a sharded prediction cache plus an order-preserving
-//! micro-batch executor over any [`PredictRow`] model.
+//! Batched inference: an immutable per-model table of a configuration
+//! space's predictions plus an order-preserving micro-batch executor over
+//! any [`PredictRow`] model.
 //!
-//! Configuration spaces are finite, so both serving traffic and
-//! model-guided search revisit the same feature vectors constantly; a
-//! cache turns a tree-walk (or a k-NN scan) into one hash lookup. The
-//! cache is sharded — each shard is its own `Mutex<HashMap>` picked by
-//! key hash — so concurrent threads rarely contend on the same lock.
+//! Configuration spaces are finite and enumerable, so the rows worth
+//! remembering are known before the first request arrives. A
+//! [`SpaceTable`] predicts every configuration once, when its model
+//! loads, and then answers each of those rows with one probe of a flat
+//! open-addressing index: no lock, no allocation. Any other row is
+//! computed and never stored, so a model's memory stays the table's size
+//! whatever clients send.
 //!
 //! The executor splits a request's rows into fixed-size micro-batches and
 //! fans them across cores with the vendored rayon, whose parallel map is
 //! order preserving (results are stitched back in input order), so
 //! response position `i` always answers request row `i`.
 //!
-//! Serving reads the cache first: [`BatchEngine::predict_if_cached`]
-//! answers a request on the calling thread when every row hits, so only
-//! requests with at least one miss pay for cross-request coalescing in the
-//! [`BatchScheduler`] (a warm request has no model work to share).
+//! Serving reads the table first: [`BatchEngine::predict_if_cached`]
+//! answers a request on the calling thread when every row is in the
+//! table, so only requests with a row outside it pay for cross-request
+//! coalescing in the [`BatchScheduler`] (a table hit has no model work to
+//! share).
 //!
 //! This module lives in `lam-core` (not the serving crate) because it has
 //! two independent consumers: `lam-serve`'s `/predict` path and
 //! `lam-tune`'s model-guided search strategies, which score whole
-//! configuration spaces through the same executor.
+//! configuration spaces through the same executor, with no table (a
+//! freshly refit guide has nothing to look up).
 
 use crate::predict::PredictRow;
 use lam_obs::{Counter, Histogram};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Cache-key for one feature row: the exact bit patterns of its floats
-/// (no epsilon grouping — only a bit-identical row is "the same query").
+/// Key for one feature row: the exact bit patterns of its floats (no
+/// epsilon grouping — only a bit-identical row is "the same query").
 /// Public because it *is* the workspace's definition of "the same
-/// configuration row" — the tuner's parameter lattice indexes rows with
-/// the identical convention.
+/// configuration row": [`SpaceTable`] keys rows by it, and the tuner's
+/// parameter lattice indexes rows with the identical convention.
 pub fn row_key(row: &[f64]) -> Box<[u64]> {
     row.iter().map(|v| v.to_bits()).collect()
 }
 
-/// FNV-1a over the key bits, for shard selection.
-fn key_hash(key: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in key {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Most rows a [`SpaceTable`] holds. The built-in spaces have 96–3249
+/// configurations; a larger space gets an empty table, and every one of
+/// its rows is computed.
+pub const MAX_TABLE_ROWS: usize = 1 << 16;
+
+/// An unused slot of a [`SpaceTable`]'s index.
+const EMPTY: u32 = u32::MAX;
+
+/// splitmix64's output finalizer (Steele, Lea & Flood, OOPSLA 2014):
+/// every input bit flips every output bit with probability about one
+/// half. Grid features are small integers and powers of two, whose bit
+/// patterns end in long runs of zero mantissa bits; a weaker mix leaves
+/// those runs in the low bits that pick a slot, and probes pile up.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Hash of a row's [`row_key`] bits, mixed after every feature.
+fn key_hash(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(0, |h, b| mix64(h ^ b))
+}
+
+/// An immutable prediction table over an enumerable configuration space.
+///
+/// [`SpaceTable::build`] predicts every row once with the model's own
+/// [`PredictRow::predict_rows_by_ref`], the call the executor makes for
+/// rows outside the table, so an entry is bit-identical to computing its
+/// row. Rows are keyed by [`row_key`]'s bit convention. A lookup hashes
+/// the row's bits and walks a linear-probing index that is a power of
+/// two in size and at most half full: no lock and no allocation. Only
+/// the space's own rows are ever inserted, so a row a client crafts can
+/// probe no further than the longest run the space itself left.
+#[derive(Default)]
+pub struct SpaceTable {
+    /// Features per row.
+    width: usize,
+    /// Row `i`'s feature bits, at `keys[i * width..(i + 1) * width]`.
+    keys: Vec<u64>,
+    /// Row `i`'s prediction.
+    values: Vec<f64>,
+    /// The index: a row number, or [`EMPTY`].
+    slots: Vec<u32>,
+}
+
+impl SpaceTable {
+    /// Predict every row of `space` with `model` and index the answers.
+    /// A row listed twice is stored once. A space with more than
+    /// [`MAX_TABLE_ROWS`] rows, or whose rows differ in width, gets an
+    /// empty table, and nothing is predicted.
+    pub fn build(model: &dyn PredictRow, space: &[Vec<f64>]) -> Self {
+        let width = space.first().map_or(0, Vec::len);
+        if space.is_empty()
+            || space.len() > MAX_TABLE_ROWS
+            || space.iter().any(|r| r.len() != width)
+        {
+            return Self::default();
         }
-    }
-    h
-}
-
-/// Hit/miss counters of a [`PredictionCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the model.
-    pub misses: u64,
-}
-
-/// Default total entry cap of a [`PredictionCache`]. The configuration
-/// spaces this workspace enumerates stay in the thousands; the cap only
-/// exists so arbitrary client-supplied rows (fuzzing, jittered floats)
-/// cannot grow a long-running server without bound.
-pub const DEFAULT_MAX_ENTRIES: usize = 1 << 20;
-
-/// A sharded feature-vector → prediction cache, capped at a fixed entry
-/// budget (inserts beyond a full shard are dropped; predictions are then
-/// simply recomputed, so the cap degrades throughput, never correctness).
-pub struct PredictionCache {
-    shards: Vec<Mutex<HashMap<Box<[u64]>, f64>>>,
-    per_shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PredictionCache {
-    /// Cache with `shards` independent lock domains (clamped to ≥ 1) and
-    /// the [`DEFAULT_MAX_ENTRIES`] budget.
-    pub fn new(shards: usize) -> Self {
-        Self::with_capacity(shards, DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Cache with an explicit total entry budget, split across shards.
-    pub fn with_capacity(shards: usize, max_entries: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            per_shard_cap: max_entries.div_ceil(shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &[u64]) -> &Mutex<HashMap<Box<[u64]>, f64>> {
-        &self.shards[(key_hash(key) % self.shards.len() as u64) as usize]
-    }
-
-    /// Cached prediction for `row`, if present, without counting.
-    fn peek(&self, row: &[f64]) -> Option<f64> {
-        let key = row_key(row);
-        self.shard(&key)
-            .lock()
-            .expect("cache poisoned")
-            .get(&key)
-            .copied()
-    }
-
-    /// Cached prediction for `row`, if present. Counts a hit or miss.
-    pub fn get(&self, row: &[f64]) -> Option<f64> {
-        let found = self.peek(row);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        let rows: Vec<&[f64]> = space.iter().map(Vec::as_slice).collect();
+        let predictions = model.predict_rows_by_ref(&rows);
+        let mut table = Self {
+            width,
+            keys: Vec::with_capacity(space.len() * width),
+            values: Vec::with_capacity(space.len()),
+            slots: vec![EMPTY; (2 * space.len()).next_power_of_two()],
         };
-        found
+        for (row, y) in rows.into_iter().zip(predictions) {
+            if let Err(slot) = table.probe(row) {
+                table.slots[slot] = table.values.len() as u32;
+                table.keys.extend(row.iter().map(|v| v.to_bits()));
+                table.values.push(y);
+            }
+        }
+        table
     }
 
-    /// Record a computed prediction. A full shard drops the insert
-    /// (bounded memory beats caching one more row).
-    pub fn insert(&self, row: &[f64], prediction: f64) {
-        let key = row_key(row);
-        let mut shard = self.shard(&key).lock().expect("cache poisoned");
-        if shard.len() < self.per_shard_cap || shard.contains_key(&key) {
-            shard.insert(key, prediction);
+    /// Row `i`'s key bits.
+    fn key(&self, i: usize) -> &[u64] {
+        &self.keys[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Walk `row`'s probe sequence: `Ok(its row number)` when stored,
+    /// else `Err(the empty slot that ends the walk)`. The index must be
+    /// non-empty.
+    fn probe(&self, row: &[f64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = key_hash(row.iter().map(|v| v.to_bits())) as usize & mask;
+        loop {
+            let i = self.slots[slot];
+            if i == EMPTY {
+                return Err(slot);
+            }
+            if self
+                .key(i as usize)
+                .iter()
+                .zip(row)
+                .all(|(&k, v)| k == v.to_bits())
+            {
+                return Ok(i as usize);
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// Number of cached feature vectors.
+    /// The stored prediction for `row`, if `row` is in the table.
+    pub fn get(&self, row: &[f64]) -> Option<f64> {
+        if self.values.is_empty() || row.len() != self.width {
+            return None;
+        }
+        self.probe(row).ok().map(|i| self.values[i])
+    }
+
+    /// Number of distinct rows stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").len())
-            .sum()
+        self.values.len()
     }
 
-    /// `true` when nothing is cached.
+    /// `true` when nothing is stored (every row is computed).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.values.is_empty()
     }
 
-    /// Lifetime hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+    /// Mean number of index slots a lookup of a stored row examines: 1.0
+    /// when every row sits in the slot its hash picks. It measures how
+    /// evenly the hash spreads this space's keys; 0.0 for an empty table.
+    pub fn mean_probe_length(&self) -> f64 {
+        if self.is_empty() {
+            return 0.0;
         }
+        // Linear probing: a row's lookup walks from its hash's slot to
+        // the slot it sits in.
+        let mask = self.slots.len() - 1;
+        let total: usize = (self.slots.iter().enumerate())
+            .filter(|&(_, &i)| i != EMPTY)
+            .map(|(slot, &i)| {
+                let home = key_hash(self.key(i as usize).iter().copied()) as usize & mask;
+                (slot.wrapping_sub(home) & mask) + 1
+            })
+            .sum();
+        total as f64 / self.len() as f64
     }
 }
 
@@ -156,7 +195,7 @@ impl PredictionCache {
 pub struct BatchOutcome {
     /// One prediction per request row, in request order.
     pub predictions: Vec<f64>,
-    /// How many rows were answered from the cache.
+    /// How many rows were answered from the engine's [`SpaceTable`].
     pub cache_hits: u64,
 }
 
@@ -187,7 +226,7 @@ struct MicroBatchObs {
     misses: u64,
 }
 
-/// One micro-batch's output: predictions (request order), cache hits,
+/// One micro-batch's output: predictions (request order), table hits,
 /// the indexes of rows that missed, and the observability sample to
 /// record once outside any parallel section.
 type MicroBatchParts = (Vec<f64>, u64, Vec<usize>, Option<MicroBatchObs>);
@@ -213,12 +252,12 @@ impl EngineMetrics {
         Self {
             hits: reg.counter(
                 "lam_cache_hits_total",
-                "Prediction-cache lookups answered from the cache.",
+                "Rows answered from the model's space table.",
                 &labels,
             ),
             misses: reg.counter(
                 "lam_cache_misses_total",
-                "Prediction-cache lookups that fell through to the model.",
+                "Rows computed because the model's space table does not hold them.",
                 &labels,
             ),
             batch_rows: reg.histogram("lam_batch_rows", "Rows per executed micro-batch.", &labels),
@@ -241,56 +280,51 @@ impl EngineMetrics {
     }
 }
 
-/// Order-preserving micro-batch executor over a [`PredictionCache`].
+/// Order-preserving micro-batch executor: rows in its [`SpaceTable`] are
+/// answered from it, every other row is computed by the model.
 pub struct BatchEngine {
-    cache: PredictionCache,
+    table: SpaceTable,
     micro_batch: usize,
     metrics: EngineMetrics,
 }
 
-/// Micro-batch size balancing per-batch overhead against load balance;
-/// also the default shard count.
+/// Micro-batch size balancing per-batch overhead against load balance.
 pub const DEFAULT_MICRO_BATCH: usize = 64;
 
 impl Default for BatchEngine {
     fn default() -> Self {
-        Self::new(DEFAULT_MICRO_BATCH, DEFAULT_MICRO_BATCH)
+        Self::new(DEFAULT_MICRO_BATCH)
     }
 }
 
 impl BatchEngine {
-    /// Engine with explicit micro-batch size and cache shard count,
-    /// reporting metrics under the anonymous `scope="shared"` label.
-    pub fn new(micro_batch: usize, shards: usize) -> Self {
-        Self::scoped(micro_batch, shards, "shared")
+    /// A plain executor: no table, so every row is computed. Metrics go
+    /// under the anonymous `scope="shared"` label.
+    pub fn new(micro_batch: usize) -> Self {
+        Self::scoped(micro_batch, SpaceTable::default(), "shared")
     }
 
-    /// Engine whose metrics carry `scope` as their label (serving engines
-    /// pass `workload/kind` so cache and batch telemetry is per-model).
-    /// Label interning happens here, once — never on the predict path.
-    pub fn scoped(micro_batch: usize, shards: usize, scope: &str) -> Self {
+    /// Engine that answers `table`'s rows from it, with metrics labelled
+    /// `scope` (serving engines pass `workload/kind`, so table and batch
+    /// telemetry is per model). Label interning happens here, once —
+    /// never on the predict path.
+    pub fn scoped(micro_batch: usize, table: SpaceTable, scope: &str) -> Self {
         Self {
-            cache: PredictionCache::new(shards),
+            table,
             micro_batch: micro_batch.max(1),
             metrics: EngineMetrics::for_scope(scope),
         }
     }
 
-    /// The underlying cache.
-    pub fn cache(&self) -> &PredictionCache {
-        &self.cache
-    }
-
-    /// Predict one micro-batch through the cache, counting hits locally
-    /// (not from the global counters, which concurrent requests advance
-    /// too).
+    /// Predict one micro-batch: table rows from the table, the rest from
+    /// the model. Hits are counted locally (not from the global counters,
+    /// which concurrent requests advance too).
     ///
     /// Misses are gathered by reference and handed to the model in **one**
     /// [`PredictRow::predict_rows_by_ref`] call, so models with a batch
     /// fast path (arena-compiled trees evaluate misses block-wise) see the
-    /// whole miss set instead of a per-row callback. Duplicate rows within
-    /// one micro-batch are computed together in that call; they produce
-    /// identical values, so the cache still converges to one entry.
+    /// whole miss set instead of a per-row callback. Nothing computed here
+    /// is stored.
     /// `enqueued` is the engine-entry instant when observability is on
     /// (`None` when recording is disabled — then no clocks are read and
     /// no metrics are touched, the baseline the overhead bench measures).
@@ -311,7 +345,7 @@ impl BatchEngine {
         let mut miss_idx: Vec<usize> = Vec::new();
         let mut miss_rows: Vec<&[f64]> = Vec::new();
         for (i, row) in batch.iter().enumerate() {
-            match self.cache.get(row) {
+            match self.table.get(row) {
                 Some(y) => {
                     hits += 1;
                     predictions[i] = y;
@@ -345,8 +379,7 @@ impl BatchEngine {
                 now
             });
             let computed = model.predict_rows_by_ref(&miss_rows);
-            for ((&i, row), y) in miss_idx.iter().zip(&miss_rows).zip(computed) {
-                self.cache.insert(row, y);
+            for (&i, y) in miss_idx.iter().zip(computed) {
                 predictions[i] = y;
             }
             if let (Some(t), Some(obs)) = (predict_start, obs.as_mut()) {
@@ -356,12 +389,11 @@ impl BatchEngine {
         (predictions, hits, miss_idx, obs)
     }
 
-    /// Predict every row of the request through the cache, fanning
-    /// micro-batches across cores. Response order matches request order.
+    /// Predict every row of the request, fanning micro-batches across
+    /// cores. Response order matches request order.
     ///
     /// Requests that fit in one micro-batch skip the parallel executor
-    /// entirely — its fixed entry cost would dominate a single cache
-    /// lookup.
+    /// entirely — its fixed entry cost would dominate a table lookup.
     pub fn predict(&self, model: &dyn PredictRow, rows: &[Vec<f64>]) -> BatchOutcome {
         // One flag read and (when on) one clock read per request; every
         // per-micro-batch record site keys off this `Option`.
@@ -394,23 +426,24 @@ impl BatchEngine {
         }
     }
 
-    /// All-or-nothing cache read: the cached predictions of `rows`, in
-    /// request order, when **every** row hits; `None` at the first miss.
+    /// All-or-nothing table read: the stored predictions of `rows`, in
+    /// request order, when **every** row is in the table; `None` at the
+    /// first row that is not.
     ///
-    /// An answer counts its hits once, in [`CacheStats`] and (when
-    /// recording is on) in `lam_cache_hits_total{scope}`. `None` counts
-    /// and inserts nothing, so whatever the caller falls back to
-    /// ([`BatchEngine::predict`], a [`BatchScheduler`] submission)
-    /// accounts the request exactly as if this lookup never ran. A cache
-    /// entry is the value the model computed for that key, so an answer
-    /// here is bit-identical to one from [`BatchEngine::predict`].
+    /// An answer counts its hits once (when recording is on) in
+    /// `lam_cache_hits_total{scope}`. `None` counts nothing, so whatever
+    /// the caller falls back to ([`BatchEngine::predict`], a
+    /// [`BatchScheduler`] submission) accounts the request exactly as if
+    /// this lookup never ran. A table entry is the value the model
+    /// computes for its row, so an answer here is bit-identical to one
+    /// from [`BatchEngine::predict`]. The output vector is the only
+    /// allocation.
     pub fn predict_if_cached(&self, rows: &[Vec<f64>]) -> Option<BatchOutcome> {
-        let predictions = rows
-            .iter()
-            .map(|row| self.cache.peek(row))
-            .collect::<Option<Vec<f64>>>()?;
+        let mut predictions = Vec::with_capacity(rows.len());
+        for row in rows {
+            predictions.push(self.table.get(row)?);
+        }
         let cache_hits = rows.len() as u64;
-        self.cache.hits.fetch_add(cache_hits, Ordering::Relaxed);
         if lam_obs::enabled() {
             self.metrics.hits.add(cache_hits);
         }
@@ -420,11 +453,11 @@ impl BatchEngine {
         })
     }
 
-    /// Like [`BatchEngine::predict`], but also returns one cache-hit flag
+    /// Like [`BatchEngine::predict`], but also returns one table-hit flag
     /// per row. The [`BatchScheduler`] uses this to split a coalesced
     /// cross-request batch back into exact per-request `cache_hits`
     /// tallies (a proportional split would misattribute hits whenever one
-    /// request's rows are warm and another's are cold).
+    /// request's rows are in the table and another's are not).
     ///
     /// Runs micro-batches sequentially: coalesced flushes are already the
     /// parallelism unit upstream (scheduler workers), so nesting a rayon
@@ -457,15 +490,15 @@ impl BatchEngine {
     }
 }
 
-/// A batched prediction outcome carrying one cache-hit flag per row; see
+/// A batched prediction outcome carrying one table-hit flag per row; see
 /// [`BatchEngine::predict_masked`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskedOutcome {
     /// One prediction per request row, in request order.
     pub predictions: Vec<f64>,
-    /// `hit_mask[i]` is `true` when row `i` was answered from the cache.
+    /// `hit_mask[i]` is `true` when row `i` was answered from the table.
     pub hit_mask: Vec<bool>,
-    /// Total rows answered from the cache (`hit_mask` trues).
+    /// Total rows answered from the table (`hit_mask` trues).
     pub cache_hits: u64,
 }
 
@@ -474,7 +507,7 @@ pub struct MaskedOutcome {
 /// (routing through the model's own [`BatchEngine`] and compiled
 /// predictor); tests implement it directly.
 pub trait BatchTarget: Send + Sync {
-    /// Predict every row, returning per-row cache-hit flags so the
+    /// Predict every row, returning per-row table-hit flags so the
     /// scheduler can split the outcome back per submission.
     fn run_batch(&self, rows: &[Vec<f64>]) -> MaskedOutcome;
 }
@@ -645,9 +678,12 @@ impl BatchScheduler {
             metrics: SchedulerMetrics::new(),
         });
         let workers = (0..shared.opts.workers)
-            .map(|_| {
+            .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::Builder::new()
+                    .name(format!("lam-sched-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn a scheduler worker")
             })
             .collect();
         Self { shared, workers }
@@ -856,7 +892,11 @@ fn worker_loop(shared: &SchedulerShared) {
         match take_ready_lane(&mut state, &shared.opts, producers_idle, Instant::now()) {
             Ok(lane) => {
                 drop(state);
-                execute_lane(shared, lane);
+                // A target that panics must not take the worker with it:
+                // unwinding drops the lane's completions unrun (their
+                // owners answer the failure when dropped), and the worker
+                // goes on serving the other lanes.
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| execute_lane(shared, lane)));
                 state = shared.state.lock().expect("scheduler poisoned");
             }
             Err(next_deadline) => {
@@ -913,6 +953,7 @@ fn execute_lane(shared: &SchedulerShared, lane: Lane) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     /// Deterministic toy model: y = 2*x0 + x1.
     struct Toy;
@@ -922,13 +963,28 @@ mod tests {
         }
     }
 
+    /// [`Toy`], counting the rows it is asked to predict.
+    #[derive(Default)]
+    struct CountingToy(AtomicU64);
+    impl PredictRow for CountingToy {
+        fn predict_row(&self, x: &[f64]) -> f64 {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Toy.predict_row(x)
+        }
+    }
+
     fn rows(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64, (i % 7) as f64]).collect()
     }
 
+    /// An engine whose table holds `Toy`'s predictions of `space`.
+    fn table_engine(micro_batch: usize, space: &[Vec<f64>], scope: &str) -> BatchEngine {
+        BatchEngine::scoped(micro_batch, SpaceTable::build(&Toy, space), scope)
+    }
+
     #[test]
     fn batched_predictions_preserve_request_order() {
-        let engine = BatchEngine::new(8, 4);
+        let engine = BatchEngine::new(8);
         let rows = rows(1000);
         let out = engine.predict(&Toy, &rows);
         assert_eq!(out.predictions.len(), rows.len());
@@ -938,47 +994,96 @@ mod tests {
     }
 
     #[test]
-    fn second_pass_is_all_cache_hits() {
-        let engine = BatchEngine::new(16, 8);
+    fn table_rows_hit_from_the_first_pass() {
         let rows = rows(300);
-        let cold = engine.predict(&Toy, &rows);
-        assert_eq!(cold.cache_hits, 0);
-        assert_eq!(engine.cache().len(), rows.len());
-        let warm = engine.predict(&Toy, &rows);
-        assert_eq!(warm.cache_hits, rows.len() as u64);
-        assert_eq!(warm.predictions, cold.predictions);
+        let engine = table_engine(16, &rows, "shared");
+        assert_eq!(engine.table.len(), rows.len());
+        let model = CountingToy::default();
+        for _ in 0..2 {
+            let out = engine.predict(&model, &rows);
+            assert_eq!(out.cache_hits, rows.len() as u64);
+            let expected: Vec<f64> = rows.iter().map(|r| Toy.predict_row(r)).collect();
+            assert_eq!(out.predictions, expected);
+        }
+        assert_eq!(model.0.load(Ordering::SeqCst), 0, "no row was computed");
+    }
+
+    #[test]
+    fn off_table_rows_are_computed_every_time_and_never_stored() {
+        let engine = table_engine(4, &rows(5), "shared");
+        let model = CountingToy::default();
+        // One off-table row, repeated within a request and across two.
+        let request = vec![vec![5.5, 1.0]; 10];
+        for pass in 1..=2u64 {
+            let out = engine.predict(&model, &request);
+            assert_eq!(out.cache_hits, 0, "pass {pass}");
+            assert!(out.predictions.iter().all(|&y| y == 12.0));
+            assert_eq!(model.0.load(Ordering::SeqCst), 10 * pass);
+        }
+        assert_eq!(engine.table.len(), 5, "nothing was stored");
+        assert_eq!(engine.predict_if_cached(&request[..1]), None);
     }
 
     #[test]
     fn cache_distinguishes_bitwise_different_rows() {
-        let cache = PredictionCache::new(4);
-        cache.insert(&[1.0, 2.0], 10.0);
-        assert_eq!(cache.get(&[1.0, 2.0]), Some(10.0));
-        assert_eq!(cache.get(&[1.0, 2.0000000000000004]), None);
-        assert_eq!(cache.get(&[1.0]), None);
-        // -0.0 and 0.0 differ bitwise: distinct cache entries.
-        cache.insert(&[0.0], 1.0);
-        assert_eq!(cache.get(&[-0.0]), None);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 3);
+        let table = SpaceTable::build(&Toy, &[vec![1.0, 2.0], vec![0.0, 3.0]]);
+        assert_eq!(table.get(&[1.0, 2.0]), Some(4.0));
+        assert_eq!(table.get(&[1.0, 2.0000000000000004]), None);
+        assert_eq!(table.get(&[1.0]), None, "a row of another width");
+        assert_eq!(table.get(&[0.0, 3.0]), Some(3.0));
+        // -0.0 and 0.0 differ bitwise: distinct rows.
+        assert_eq!(table.get(&[-0.0, 3.0]), None);
+        // A row listed twice is stored once.
+        let twice = SpaceTable::build(&Toy, &[vec![1.0, 2.0], vec![1.0, 2.0]]);
+        assert_eq!(twice.len(), 1);
+        assert_eq!(twice.get(&[1.0, 2.0]), Some(4.0));
     }
 
     #[test]
     fn capacity_bounds_entries_without_breaking_predictions() {
-        let cache = PredictionCache::with_capacity(2, 4);
-        for i in 0..100 {
-            cache.insert(&[i as f64], i as f64);
-        }
-        assert!(cache.len() <= 4, "len {}", cache.len());
-        // Overwriting an existing key still works at capacity.
-        let kept: Vec<f64> = (0..100)
-            .map(|i| i as f64)
-            .filter(|&x| cache.get(&[x]).is_some())
+        let model = CountingToy::default();
+        let space: Vec<Vec<f64>> = (0..=MAX_TABLE_ROWS).map(|i| vec![i as f64]).collect();
+        let table = SpaceTable::build(&model, &space);
+        assert!(table.is_empty(), "a space past the cap gets no table");
+        assert_eq!(
+            model.0.load(Ordering::SeqCst),
+            0,
+            "and nothing is predicted"
+        );
+        let at_cap = SpaceTable::build(&model, &space[..MAX_TABLE_ROWS]);
+        assert_eq!(at_cap.len(), MAX_TABLE_ROWS);
+        // Every row is still answered, from the model.
+        let engine = BatchEngine::scoped(64, table, "shared");
+        let out = engine.predict(&Toy, &space[..100]);
+        assert_eq!(out.cache_hits, 0);
+        assert_eq!(
+            out.predictions,
+            (0..100).map(|i| 2.0 * i as f64).collect::<Vec<_>>()
+        );
+        // Rows of mixed widths are not a space: no table either.
+        assert!(SpaceTable::build(&Toy, &[vec![1.0], vec![1.0, 2.0]]).is_empty());
+    }
+
+    #[test]
+    fn lookups_find_every_stored_row_in_few_probes() {
+        // Grid-like rows: small integers and powers of two.
+        let space: Vec<Vec<f64>> = (0..4096)
+            .map(|i| {
+                vec![
+                    (i % 16) as f64,
+                    f64::from(1u32 << (i / 16 % 12)),
+                    (i / 192) as f64,
+                ]
+            })
             .collect();
-        let k = kept[0];
-        cache.insert(&[k], -1.0);
-        assert_eq!(cache.get(&[k]), Some(-1.0));
+        let table = SpaceTable::build(&Toy, &space);
+        assert_eq!(table.len(), space.len());
+        for row in &space {
+            assert_eq!(table.get(row), Some(Toy.predict_row(row)));
+        }
+        let mean = table.mean_probe_length();
+        assert!((1.0..=2.0).contains(&mean), "mean probe length {mean}");
+        assert_eq!(SpaceTable::default().mean_probe_length(), 0.0);
     }
 
     #[test]
@@ -987,7 +1092,8 @@ mod tests {
         let out = engine.predict(&Toy, &[]);
         assert!(out.predictions.is_empty());
         assert_eq!(out.cache_hits, 0);
-        assert!(engine.cache().is_empty());
+        assert!(engine.table.is_empty());
+        assert_eq!(engine.predict_if_cached(&[]).map(|o| o.cache_hits), Some(0));
     }
 
     #[test]
@@ -995,16 +1101,16 @@ mod tests {
         // A unique scope keeps this test independent of every other
         // engine in the process.
         let scope = "batch-metrics-selftest";
-        let engine = BatchEngine::scoped(8, 4, scope);
         let rows = rows(20);
+        let engine = table_engine(8, &rows[..10], scope);
         engine.predict(&Toy, &rows);
         engine.predict(&Toy, &rows);
         let reg = lam_obs::global();
         let labels = [("scope", scope)];
         let hits = reg.counter("lam_cache_hits_total", "", &labels).get();
         let misses = reg.counter("lam_cache_misses_total", "", &labels).get();
-        assert_eq!(misses, 20, "first pass all misses");
-        assert_eq!(hits, 20, "second pass all hits");
+        assert_eq!(hits, 20, "rows 0..10 hit on both passes");
+        assert_eq!(misses, 20, "rows 10..20 miss on both passes");
         let sizes = reg.histogram("lam_batch_rows", "", &labels).snapshot();
         // 20 rows in 8-row micro-batches = 3 batches per pass.
         assert_eq!(sizes.count(), 6);
@@ -1014,8 +1120,8 @@ mod tests {
             .snapshot();
         assert_eq!(waits.count(), 6);
         // Phase timings are only taken on miss-bearing micro-batches
-        // (the all-hit fast path skips the extra clock reads), so only
-        // the first pass's 3 micro-batches show up here.
+        // (the all-hit fast path skips the extra clock reads): rows 0..8
+        // all hit, so 2 of each pass's 3 micro-batches show up here.
         let lookups = reg
             .histogram(
                 "lam_batch_phase_ns",
@@ -1023,41 +1129,32 @@ mod tests {
                 &[("scope", scope), ("phase", "cache-lookup")],
             )
             .snapshot();
-        assert_eq!(lookups.count(), 3);
+        assert_eq!(lookups.count(), 4);
     }
 
     #[test]
     fn cached_lookup_answers_all_hit_requests_and_counts_once() {
         let scope = "batch-if-cached-hit-selftest";
-        let engine = BatchEngine::scoped(8, 4, scope);
-        let warm = rows(20);
-        let cold = engine.predict(&Toy, &warm);
-        let stats = engine.cache().stats();
-        let hits = lam_obs::global().counter("lam_cache_hits_total", "", &[("scope", scope)]);
-        let hits_before = hits.get();
-        // Any order, duplicates included: every row is cached.
-        let request = vec![warm[7].clone(), warm[0].clone(), warm[7].clone()];
+        let space = rows(20);
+        let engine = table_engine(8, &space, scope);
+        let reg = lam_obs::global();
+        let hits = reg.counter("lam_cache_hits_total", "", &[("scope", scope)]);
+        let misses = reg.counter("lam_cache_misses_total", "", &[("scope", scope)]);
+        let (hits_before, misses_before) = (hits.get(), misses.get());
+        // Any order, duplicates included: every row is in the table.
+        let request = vec![space[7].clone(), space[0].clone(), space[7].clone()];
         let out = engine.predict_if_cached(&request).expect("every row hits");
-        assert_eq!(
-            out.predictions,
-            vec![
-                cold.predictions[7],
-                cold.predictions[0],
-                cold.predictions[7]
-            ]
-        );
+        let expected: Vec<f64> = request.iter().map(|r| Toy.predict_row(r)).collect();
+        assert_eq!(out.predictions, expected);
         assert_eq!(out.cache_hits, request.len() as u64);
-        let after = engine.cache().stats();
-        assert_eq!(after.hits - stats.hits, request.len() as u64);
-        assert_eq!(after.misses, stats.misses);
         assert_eq!(hits.get() - hits_before, request.len() as u64);
+        assert_eq!(misses.get(), misses_before);
     }
 
     #[test]
     fn cached_lookup_declines_on_any_miss_without_side_effects() {
         let scope = "batch-if-cached-miss-selftest";
-        let engine = BatchEngine::scoped(8, 4, scope);
-        engine.predict(&Toy, &rows(5));
+        let engine = table_engine(8, &rows(5), scope);
         let reg = lam_obs::global();
         let labels = [("scope", scope)];
         let global = || {
@@ -1066,31 +1163,25 @@ mod tests {
                 reg.counter("lam_cache_misses_total", "", &labels).get(),
             )
         };
-        let (stats, counters, len) = (engine.cache().stats(), global(), engine.cache().len());
-        // Warm rows around one cold row: the whole request is declined.
+        let counters = global();
+        // Table rows around one off-table row: the whole request is
+        // declined.
         let request = vec![rows(5)[1].clone(), vec![99.0, 1.0], rows(5)[2].clone()];
         assert_eq!(engine.predict_if_cached(&request), None);
-        assert_eq!(engine.cache().stats(), stats);
         assert_eq!(global(), counters);
-        assert_eq!(engine.cache().len(), len);
-        assert_eq!(
-            engine.cache().get(&[99.0, 1.0]),
-            None,
-            "nothing was inserted"
-        );
+        assert_eq!(engine.table.len(), 5);
+        assert_eq!(engine.table.get(&[99.0, 1.0]), None, "nothing was stored");
     }
 
     #[test]
     fn masked_outcome_flags_hits_per_row() {
-        let engine = BatchEngine::new(4, 2);
-        // Warm rows 0..3; then predict a mix of warm and cold rows.
-        engine.predict(&Toy, &rows(3));
+        let engine = table_engine(4, &rows(3), "shared");
         let mixed = vec![
-            vec![0.0, 0.0], // warm
+            vec![0.0, 0.0], // in the table
             vec![50.0, 1.0],
-            vec![1.0, 1.0], // warm
+            vec![1.0, 1.0], // in the table
             vec![60.0, 4.0],
-            vec![2.0, 2.0], // warm
+            vec![2.0, 2.0], // in the table
         ];
         let out = engine.predict_masked(&Toy, &mixed);
         assert_eq!(out.hit_mask, vec![true, false, true, false, true]);
@@ -1114,7 +1205,8 @@ mod tests {
 
     fn counting_target() -> Arc<CountingTarget> {
         Arc::new(CountingTarget {
-            engine: BatchEngine::new(512, 4),
+            // Only [7, 7] is in the table.
+            engine: BatchEngine::scoped(512, SpaceTable::build(&Toy, &[vec![7.0, 7.0]]), "shared"),
             calls: AtomicU64::new(0),
         })
     }
@@ -1187,14 +1279,12 @@ mod tests {
             ..SchedulerOptions::default()
         });
         let target = counting_target();
-        // Warm only the rows of the second submission.
-        target.engine.predict(&Toy, &[vec![7.0, 7.0]]);
         let outs = submit_and_collect(
             &sched,
             target.clone(),
             vec![
-                vec![vec![100.0, 0.0], vec![101.0, 0.0]], // cold, cold
-                vec![vec![7.0, 7.0]],                     // warm
+                vec![vec![100.0, 0.0], vec![101.0, 0.0]], // computed
+                vec![vec![7.0, 7.0]],                     // in the table
             ],
         );
         assert_eq!(outs[0].cache_hits, 0);
@@ -1277,19 +1367,53 @@ mod tests {
         sched.shutdown();
     }
 
+    /// A target whose every batch panics.
+    struct PanickingTarget;
+    impl BatchTarget for PanickingTarget {
+        fn run_batch(&self, _rows: &[Vec<f64>]) -> MaskedOutcome {
+            panic!("deliberate test panic");
+        }
+    }
+
     #[test]
-    fn duplicate_rows_in_one_request_hit_after_first_compute() {
-        let engine = BatchEngine::new(1, 2);
-        let rows = vec![vec![5.0, 1.0]; 10];
-        // One worker thread makes the hit count deterministic: the first
-        // occurrence computes, the other nine hit.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let out = pool.install(|| engine.predict(&Toy, &rows));
-        assert_eq!(out.cache_hits, 9);
-        assert!(out.predictions.iter().all(|&y| y == 11.0));
-        assert_eq!(engine.cache().len(), 1);
+    fn panicking_target_leaves_the_worker_serving() {
+        let sched = BatchScheduler::new(SchedulerOptions {
+            workers: 1,
+            ..SchedulerOptions::default()
+        });
+        // Sets a flag when dropped, run or not.
+        struct DropFlag(Arc<AtomicU64>);
+        impl Drop for DropFlag {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (ran, dropped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        for _ in 0..3 {
+            let (ran, flag) = (Arc::clone(&ran), DropFlag(Arc::clone(&dropped)));
+            sched.try_reserve(1).expect("reserve").submit(
+                Arc::new(PanickingTarget),
+                vec![vec![1.0, 1.0]],
+                Box::new(move |_| {
+                    let _flag = flag;
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        // Each panicked batch drops its completion unrun.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dropped.load(Ordering::SeqCst) < 3 {
+            assert!(Instant::now() < deadline, "panicked batches never finished");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "a panicked batch completes nothing"
+        );
+        // The lone worker survived three panics and still answers.
+        let outs = submit_and_collect(&sched, counting_target(), vec![vec![vec![3.0, 1.0]]]);
+        assert_eq!(outs[0].predictions, vec![7.0]);
+        sched.shutdown();
     }
 }

@@ -27,9 +27,10 @@
 //! descriptors with memoized datasets — the layer that lets serving code
 //! pick up new scenarios from one registration call instead of an enum
 //! edit. [`predict`] exposes the object-safe read-only [`PredictRow`]
-//! surface serving layers share across threads, and [`batch`] the sharded
-//! prediction cache + order-preserving micro-batch executor that both the
-//! serving layer and the autotuner score models through.
+//! surface serving layers share across threads, and [`batch`] the
+//! immutable per-model space table + order-preserving micro-batch
+//! executor that both the serving layer and the autotuner score models
+//! through.
 
 pub mod batch;
 pub mod catalog;
@@ -39,7 +40,7 @@ pub mod predict;
 pub mod workload;
 pub mod wrap;
 
-pub use batch::{BatchEngine, BatchOutcome, PredictionCache};
+pub use batch::{BatchEngine, BatchOutcome, SpaceTable};
 pub use catalog::{CatalogError, DynWorkload, WorkloadCatalog, WorkloadEntry};
 pub use evaluate::{
     evaluate_model, evaluate_workload, EvaluationConfig, SeriesPoint, TrialOutcome,

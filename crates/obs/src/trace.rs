@@ -113,12 +113,12 @@ impl TraceContext {
 
     /// Parse a header value produced by [`TraceContext::header_value`].
     /// Returns `None` on any malformed input (wrong field count, wrong
-    /// width, non-hex, zero trace or span id) — a bad header is treated
-    /// as no header.
+    /// width, anything but ASCII hex digits in a field, zero trace or span
+    /// id) — a bad header is treated as no header.
     pub fn parse(value: &str) -> Option<Self> {
         let mut parts = value.trim().split('-');
         let (t, s, f) = (parts.next()?, parts.next()?, parts.next()?);
-        if parts.next().is_some() || t.len() != 32 || s.len() != 16 || f.len() != 2 {
+        if parts.next().is_some() || !is_hex(t, 32) || !is_hex(s, 16) || !is_hex(f, 2) {
             return None;
         }
         let trace_id = u128::from_str_radix(t, 16).ok()?;
@@ -137,10 +137,16 @@ impl TraceContext {
 
 /// Parse a bare 32-hex-digit trace id (the `/traces/{id}` path segment).
 pub fn parse_trace_id(s: &str) -> Option<u128> {
-    if s.len() != 32 {
+    if !is_hex(s, 32) {
         return None;
     }
     u128::from_str_radix(s, 16).ok().filter(|&id| id != 0)
+}
+
+/// `field` is exactly `width` ASCII hex digits. Checked before
+/// `from_str_radix`, which would also accept a leading `+`.
+fn is_hex(field: &str, width: usize) -> bool {
+    field.len() == width && field.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 thread_local! {
@@ -213,6 +219,7 @@ mod tests {
             "zzzz456789abcdef0123456789abcdef-fedcba9876543210-01", // non-hex
             "00000000000000000000000000000000-fedcba9876543210-01", // zero trace
             "0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span
+            "+0000000000000000000000000000001-+00000000000000f-+1", // signs
         ] {
             assert_eq!(TraceContext::parse(bad), None, "{bad:?}");
         }
@@ -251,6 +258,7 @@ mod tests {
         assert_eq!(parse_trace_id(&hex), Some(ctx.trace_id));
         assert_eq!(parse_trace_id("xyz"), None);
         assert_eq!(parse_trace_id(&"0".repeat(32)), None);
+        assert_eq!(parse_trace_id(&format!("+{}", "0".repeat(30) + "1")), None);
     }
 
     #[test]

@@ -1,28 +1,22 @@
 //! Serving-side batched inference: request-row validation in front of the
 //! shared micro-batch executor.
 //!
-//! The cache and executor themselves live in [`lam_core::batch`] — they
-//! have a second consumer in `lam-tune`'s model-guided search — and are
-//! re-exported here so serving code (and its historical callers) keep one
-//! import path. What stays in this module is the serving-specific piece:
-//! [`validate_rows`], the input firewall that turns malformed client rows
-//! into typed [`ServeError`]s before any model dispatch.
+//! The space table and executor themselves live in [`lam_core::batch`]
+//! (they have a second consumer in `lam-tune`'s model-guided search).
+//! This module holds the serving-specific piece: [`validate_rows`], the
+//! input firewall that turns malformed client rows into typed
+//! [`ServeError`]s before any model dispatch.
 
 use crate::ServeError;
-
-pub use lam_core::batch::{
-    BatchEngine, BatchOutcome, CacheStats, PredictionCache, DEFAULT_MAX_ENTRIES,
-    DEFAULT_MICRO_BATCH,
-};
 
 /// Validate request rows before any model dispatch: every row must carry
 /// exactly `expected` features and every value must be finite.
 ///
 /// This is the serving path's input firewall. A NaN or infinity that
-/// slipped through would be cached under its bit pattern and then panic
-/// the first non-total comparison downstream (k-NN's distance
-/// `partial_cmp`, metric sorts), killing the handler thread — so reject
-/// with a client error instead.
+/// slipped through would reach the model and panic the first non-total
+/// comparison downstream (k-NN's distance `partial_cmp`, metric sorts),
+/// failing the request with a 500 — so reject with a client error
+/// instead.
 pub fn validate_rows(expected: usize, rows: &[Vec<f64>]) -> Result<(), ServeError> {
     for (i, row) in rows.iter().enumerate() {
         if row.len() != expected {
@@ -42,7 +36,6 @@ pub fn validate_rows(expected: usize, rows: &[Vec<f64>]) -> Result<(), ServeErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lam_core::predict::PredictRow;
 
     #[test]
     fn validate_rows_rejects_bad_input() {
@@ -63,20 +56,5 @@ mod tests {
                 Err(ServeError::NonFiniteFeature { row: 1, col: 1 })
             ));
         }
-    }
-
-    #[test]
-    fn reexported_engine_serves_validated_rows() {
-        struct Toy;
-        impl PredictRow for Toy {
-            fn predict_row(&self, x: &[f64]) -> f64 {
-                x[0] + 1.0
-            }
-        }
-        let rows = vec![vec![1.0], vec![2.0]];
-        validate_rows(1, &rows).unwrap();
-        let engine = BatchEngine::default();
-        let out = engine.predict(&Toy, &rows);
-        assert_eq!(out.predictions, vec![2.0, 3.0]);
     }
 }

@@ -52,8 +52,8 @@
 //! training cost for a key.
 
 use crate::http::{
-    account_request, endpoint_index, error_body, query_param, start_engine, PredictRequest,
-    PredictResponse, ServeConfig, JSON_CONTENT_TYPE, LAMB_CONTENT_TYPE, RECENT_TRACES_LIMIT,
+    account_request, error_body, query_param, start_engine, PredictRequest, PredictResponse,
+    ServeConfig, JSON_CONTENT_TYPE, LAMB_CONTENT_TYPE, RECENT_TRACES_LIMIT,
 };
 use crate::proto::{
     encode_request, encode_request_traced, ParsedRequest, ParsedResponse, ResponseParser,
@@ -321,7 +321,9 @@ pub fn start_gateway(cfg: GatewayConfig) -> Result<GatewayHandle, ServeError> {
         let cluster = Arc::clone(&cluster);
         let stop = Arc::clone(&probe_stop);
         let interval = cfg.probe_interval.max(Duration::from_millis(10));
-        std::thread::spawn(move || probe_loop(&cluster, &stop, interval))
+        std::thread::Builder::new()
+            .name("lam-gw-probe".to_string())
+            .spawn(move || probe_loop(&cluster, &stop, interval))?
     };
     Ok(GatewayHandle {
         server,
@@ -387,7 +389,7 @@ fn handle_gateway_job(job: Job, ctx: &GatewayCtx) {
     } = job;
     drop(hint); // the gateway schedules no rows
     let started = lam_obs::enabled().then(Instant::now);
-    let endpoint = endpoint_index(&req.method, &req.path);
+    let endpoint = responder.endpoint();
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (req.path.as_str(), ""),

@@ -26,13 +26,16 @@
 //! epoll reactor thread owns every socket and the per-connection
 //! HTTP/1.1 state machines (incremental parsing, keep-alive, pipelining,
 //! idle/slowloris timeouts); `workers` handler threads route requests
-//! pulled from a bounded dispatch queue. `/predict` is cache-first: a
-//! request whose rows are all cached, or that is already batch-sized, is
-//! answered on its handler thread; a small request with a cache miss
-//! submits its rows to a shared [`BatchScheduler`] that coalesces
-//! micro-batches *across connections*, completing responses back through
-//! the reactor. Both queues shed with `503` + `retry-after` instead of
-//! growing without bound, and shutdown drains in-flight requests.
+//! pulled from a bounded dispatch queue. `/predict` is table-first: a
+//! request whose rows are all in the model's space table, or that is
+//! already batch-sized, is answered on its handler thread; a small
+//! request with any other row submits its rows to a shared
+//! [`BatchScheduler`] that coalesces micro-batches *across connections*,
+//! completing responses back through the reactor. Both queues shed with
+//! `503` + `retry-after` instead of growing without bound, and shutdown
+//! drains in-flight requests. A request that panics is answered `500`
+//! and counted as a 5xx; the handler or scheduler thread it panicked on
+//! keeps serving.
 
 use crate::persist::ModelKind;
 use crate::proto::ParsedRequest;
@@ -47,6 +50,7 @@ use lam_obs::trace::TraceContext;
 use lam_obs::{Counter, Gauge, Histogram, PhaseSet, SpanRecord, SpanTimer};
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -72,7 +76,7 @@ pub struct PredictResponse {
     pub model: String,
     /// One prediction per request row, in request order.
     pub predictions: Vec<f64>,
-    /// Rows answered from the prediction cache.
+    /// Rows answered from the model's space table.
     pub cache_hits: u64,
     /// Server-side handling time, microseconds.
     pub micros: u64,
@@ -104,8 +108,8 @@ pub struct HealthResponse {
     /// the `lam_requests_total` total, surfaced here so a health probe
     /// sees traffic without parsing the exposition format.
     pub requests_total: u64,
-    /// Prediction-cache hits / (hits + misses), process-wide; `0.0`
-    /// before the first lookup.
+    /// Space-table hits / (hits + misses), process-wide; `0.0` before
+    /// the first lookup.
     pub cache_hit_ratio: f64,
 }
 
@@ -247,7 +251,7 @@ pub struct ServeConfig {
     /// scheduler and predict directly on the handler thread — they are
     /// already a full micro-batch, so queueing them buys nothing.
     /// Smaller requests are answered on the handler thread too when every
-    /// row is cached; only those with a miss are coalesced.
+    /// row is in the model's space table; only the others are coalesced.
     pub direct_batch_rows: usize,
 }
 
@@ -389,18 +393,25 @@ pub(crate) fn start_engine(
         Arc::clone(&shared),
         Arc::clone(&stop),
     )?;
-    let reactor = std::thread::spawn(move || reactor.run());
+    let reactor = std::thread::Builder::new()
+        .name("lam-reactor".to_string())
+        .spawn(move || reactor.run())?;
     let workers = (0..cfg.opts.workers.max(1))
-        .map(|_| {
+        .map(|i| {
             let queue = Arc::clone(&queue);
             let handler = Arc::clone(&handler);
-            std::thread::spawn(move || {
-                while let Some(job) = queue.pop() {
-                    handler(job);
-                }
-            })
+            std::thread::Builder::new()
+                .name(format!("lam-handler-{i}"))
+                .spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        // A request that panics must not end the thread:
+                        // unwinding drops its responder, which answers 500
+                        // and counts it, and the loop takes the next job.
+                        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handler(job)));
+                    }
+                })
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok(ServerHandle {
         local_addr,
         stop,
@@ -447,9 +458,9 @@ struct HandlerCtx {
 /// Serve one dispatched request on a handler thread, by the endpoint it
 /// classifies as (so `POST /predict?x=1` is `/predict` like any other).
 /// Most endpoints compute synchronously and answer through the
-/// responder; small `/predict` requests with a cache miss go
-/// asynchronous through the batch scheduler, and their accounting +
-/// response happen in the completion.
+/// responder; small `/predict` requests with a row outside the space
+/// table go asynchronous through the batch scheduler, and their
+/// accounting + response happen in the completion.
 fn handle_job(job: Job, ctx: &HandlerCtx) {
     let Job {
         req,
@@ -458,7 +469,7 @@ fn handle_job(job: Job, ctx: &HandlerCtx) {
     } = job;
     let in_flight = http_metrics().in_flight.track();
     let started = lam_obs::enabled().then(Instant::now);
-    let endpoint = endpoint_index(&req.method, &req.path);
+    let endpoint = responder.endpoint();
     match (req.method.as_str(), ENDPOINTS[endpoint]) {
         ("POST", "predict") => handle_predict(req, responder, ctx, hint, started, endpoint),
         // The artifact body is binary, so it bypasses the String-bodied
@@ -566,10 +577,11 @@ impl RequestTrace {
 
 /// The `/predict` path of the event-driven server. Parse, validate, and
 /// resolve run here on the handler thread (errors answer immediately).
-/// Dispatch is cache-first: a small request whose rows are all cached is
-/// answered right here, and so is an already-batch-sized one (coalescing
-/// either buys nothing). Only small requests with a cache miss submit to
-/// the cross-connection [`BatchScheduler`] and finish in its completion.
+/// Dispatch is table-first: a small request whose rows are all in the
+/// model's space table is answered right here, and so is an
+/// already-batch-sized one (coalescing either buys nothing). Only small
+/// requests with a row outside the table submit to the cross-connection
+/// [`BatchScheduler`] and finish in its completion.
 fn handle_predict(
     req: ParsedRequest,
     responder: Responder,
@@ -838,10 +850,9 @@ pub(crate) fn account_malformed(status: u16) {
 
 /// Account a parsed-but-shed request (dispatch queue full or connection
 /// limit hit before a handler ever saw it). The 503 lands under the
-/// request's real endpoint so shed load is attributable per route; no
+/// request's real `endpoint` so shed load is attributable per route; no
 /// duration is recorded because no handling happened.
-pub(crate) fn account_shed(req: &ParsedRequest) {
-    let endpoint = endpoint_index(&req.method, &req.path);
+pub(crate) fn account_shed(req: &ParsedRequest, endpoint: usize) {
     http_metrics().requests[endpoint][status_class_index(503)].inc();
     // A shed is exactly what the flight recorder's tail sampling always
     // keeps, so the refusal leaves a span even though no handler ran.
@@ -1125,8 +1136,8 @@ fn predict_phases() -> &'static PhaseSet {
 }
 
 /// A validated, resolved `/predict` request, ready to execute: either
-/// inline (large batches, all-cached rows) or via the cross-connection
-/// batch scheduler.
+/// inline (large batches, rows all in the space table) or via the
+/// cross-connection batch scheduler.
 struct PredictPlan {
     key: ModelKey,
     model: Arc<LoadedModel>,
@@ -1154,8 +1165,7 @@ fn plan_predict(
     }
     // Reject wrong-arity and non-finite rows before any model dispatch:
     // a bad request must not trigger train-on-miss, and a NaN/infinity
-    // must never reach the cache or a k-NN distance sort (which would
-    // panic the handler thread).
+    // must never reach a k-NN distance sort (which would panic).
     crate::batch::validate_rows(workload.n_features(), &parsed.rows).map_err(bad_request)?;
     span.mark("validate");
     let key = ModelKey::new(workload, kind, version);

@@ -16,14 +16,16 @@
 //!   `(workload, kind, version)` that trains on miss, persists the result,
 //!   and memoizes loaded models behind `Arc`;
 //! * [`batch`] — request-row validation in front of the shared
-//!   [`lam_core::batch`] prediction cache + micro-batch executor;
+//!   [`lam_core::batch`] space table + micro-batch executor;
 //! * [`http`] — an event-driven HTTP/JSON server (epoll reactor, vendored
 //!   shim, no external async stack) with `/predict`, `/tune` (a thin shim
 //!   over the `lam-tune` autotuner), `/models`, `/workloads`, and
-//!   `/healthz`; `/predict` answers all-cached rows straight from the
-//!   prediction cache, small requests with a cache miss coalesce into
-//!   cross-connection micro-batches, and both the dispatch queue and the
-//!   batch queue shed with `503` + `retry-after` under overload;
+//!   `/healthz`; `/predict` answers requests whose rows are all in the
+//!   model's space table (every configuration of its workload, predicted
+//!   at load) straight from the table, small requests with any other row
+//!   coalesce into cross-connection micro-batches, and both the dispatch
+//!   queue and the batch queue shed with `503` + `retry-after` under
+//!   overload;
 //! * [`proto`] — the incremental HTTP/1.1 request parser and response
 //!   encoder shared by the reactor's per-connection state machines;
 //! * [`loadgen`] — a load generator (closed-loop, pipelined, or open-loop)
@@ -86,8 +88,8 @@ pub enum ServeError {
         row: usize,
     },
     /// A request row carried a NaN or infinite feature value. Rejected up
-    /// front: non-finite values would poison the prediction cache's key
-    /// space and panic distance sorts in k-NN and metric code.
+    /// front: non-finite values would panic distance sorts in k-NN and
+    /// metric code.
     NonFiniteFeature {
         /// Index of the offending row within the request.
         row: usize,

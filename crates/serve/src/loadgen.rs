@@ -20,9 +20,9 @@
 //! server's load-shedding contract working, not an error.
 //!
 //! Request bodies are prebuilt from a rotating pool of real feature rows
-//! (drawn from the target workload's configuration space), so after the
-//! first rotation the server answers from its prediction cache — the
-//! steady-state regime the acceptance criterion measures.
+//! (drawn from the target workload's configuration space), so the server
+//! answers them from the model's space table — the steady-state regime
+//! the acceptance criterion measures.
 
 use crate::http::{PredictRequest, PredictResponse};
 use crate::persist::ModelKind;
@@ -135,7 +135,7 @@ pub struct LoadReport {
     pub p95_us: f64,
     /// 99th-percentile request latency, microseconds.
     pub p99_us: f64,
-    /// Fraction of predictions answered from the server's cache.
+    /// Fraction of predictions answered from the server's space table.
     pub cache_hit_fraction: f64,
     /// Per-target tallies, one row per distinct address driven (a single
     /// row for the classic one-server run).

@@ -11,7 +11,7 @@
 //!                    ┌───────▼──────────────┴───────┐  ┌──────┴──────┐
 //!                    │ handler pool (route, parse)  │─▶│ completions │
 //!                    └───────┬──────────────────────┘  └──────▲──────┘
-//!        submit (cache miss) │ (coalesced micro-batches)      │
+//!     submit (off-table row) │ (coalesced micro-batches)      │
 //!                    ┌───────▼──────────────────────┐         │
 //!                    │ lam_core BatchScheduler      │─────────┘
 //!                    └──────────────────────────────┘
@@ -204,17 +204,27 @@ impl ReactorShared {
 
 /// The single-use response channel for one request. Exactly one response
 /// reaches the reactor per slot: sending consumes the responder, and a
-/// responder dropped without sending (a panicked handler) reports a 500
-/// so its connection slot never wedges.
+/// responder dropped without sending (a request that panicked, on a
+/// handler or a scheduler thread) reports a 500, counted as a 5xx of its
+/// endpoint, so its connection slot never wedges.
 pub(crate) struct Responder {
     inner: Option<(usize, u64, u64, Arc<ReactorShared>)>,
+    /// The request's `lam_requests_total` endpoint label index.
+    endpoint: usize,
 }
 
 impl Responder {
-    fn new(conn: usize, gen: u64, seq: u64, shared: Arc<ReactorShared>) -> Self {
+    fn new(conn: usize, gen: u64, seq: u64, shared: Arc<ReactorShared>, endpoint: usize) -> Self {
         Self {
             inner: Some((conn, gen, seq, shared)),
+            endpoint,
         }
+    }
+
+    /// The request's endpoint classification (an index into the fixed
+    /// endpoint label set), made once when the reactor dispatched it.
+    pub fn endpoint(&self) -> usize {
+        self.endpoint
     }
 
     pub fn send(
@@ -252,6 +262,7 @@ impl Responder {
 impl Drop for Responder {
     fn drop(&mut self) {
         if let Some((conn, gen, seq, shared)) = self.inner.take() {
+            crate::http::account_request(self.endpoint, 500, None);
             shared.push(Completion {
                 conn,
                 gen,
@@ -699,19 +710,20 @@ impl Reactor {
         let keep_alive = req.keep_alive;
         let seq = conn.next_seq;
         conn.next_seq += 1;
+        let endpoint = crate::http::endpoint_index(&req.method, &req.path);
         if room {
             conn.slots.push_back(Slot {
                 keep_alive,
                 bytes: None,
             });
-            let responder = Responder::new(idx, conn.gen, seq, Arc::clone(&self.shared));
+            let responder = Responder::new(idx, conn.gen, seq, Arc::clone(&self.shared), endpoint);
             self.queue.push(req, responder);
         } else {
             // Shed at the door: the queue is the latency budget, and a
             // 503 now beats a timeout later. The connection stays open —
             // the client is told when to come back.
             reactor_metrics().shed_dispatch.inc();
-            crate::http::account_shed(&req);
+            crate::http::account_shed(&req, endpoint);
             let body = crate::http::error_body("server overloaded, request shed");
             conn.slots.push_back(Slot {
                 keep_alive,

@@ -18,7 +18,10 @@
 //!    artifact, then memoize it.
 //!
 //! Loading arena-compiles tree ensembles ([`SavedModel::into_predictor`]),
-//! so every served prediction runs the blocked, branchless fast path.
+//! so every served prediction runs the blocked, branchless fast path, and
+//! then predicts the workload's whole configuration space once into the
+//! model's [`SpaceTable`], so every grid row is a table hit from its first
+//! request on.
 //!
 //! Training happens *outside* the registry lock, so a cold miss on one
 //! model never blocks serving traffic on already-loaded ones; if two
@@ -26,10 +29,10 @@
 //! adopts the winner's `Arc` (training is deterministic, so both built
 //! the same model).
 
-use crate::batch::{BatchEngine, BatchOutcome};
 use crate::persist::{ModelKind, SavedModel, TrainedMl, FORMAT_VERSION};
 use crate::workload::WorkloadId;
 use crate::ServeError;
+use lam_core::batch::{BatchEngine, BatchOutcome, SpaceTable, DEFAULT_MICRO_BATCH};
 use lam_core::predict::PredictRow;
 use lam_ml::ensemble::GradientBoostingRegressor;
 use lam_ml::forest::{ExtraTreesRegressor, RandomForestRegressor};
@@ -93,8 +96,10 @@ impl fmt::Display for ModelKey {
 }
 
 /// A loaded model ready to serve: metadata, the immutable predictor, and
-/// its private batched-inference engine (the cache is keyed by feature
-/// vector, so sharing one across models would alias their entries).
+/// its private batched-inference engine. The engine's [`SpaceTable`]
+/// holds this model's predictions of every configuration of its
+/// workload, built once at load; any other row is computed per request
+/// and never stored.
 pub struct LoadedModel {
     /// The model's identity.
     pub key: ModelKey,
@@ -107,27 +112,28 @@ pub struct LoadedModel {
 }
 
 impl LoadedModel {
+    /// Every path that makes a model servable (disk load, peer fetch,
+    /// training) ends here, so every loaded model has its table.
     fn from_saved(key: ModelKey, saved: SavedModel) -> Result<Self, ServeError> {
-        // Per-model metric scope (`workload/kind`): cache hit rates and
+        let (feature_names, trained_rows) = (saved.feature_names.clone(), saved.trained_rows);
+        let predictor = saved.into_predictor()?;
+        let table = SpaceTable::build(&*predictor, &key.workload.feature_rows());
+        // Per-model metric scope (`workload/kind`): table hit rates and
         // batch-size distributions are only actionable per model. Label
         // interning happens here, at load time — never per prediction.
         let scope = format!("{}/{}", key.workload, key.kind);
         Ok(Self {
             key,
-            feature_names: saved.feature_names.clone(),
-            trained_rows: saved.trained_rows,
-            predictor: saved.into_predictor()?,
-            engine: BatchEngine::scoped(
-                lam_core::batch::DEFAULT_MICRO_BATCH,
-                lam_core::batch::DEFAULT_MICRO_BATCH,
-                &scope,
-            ),
+            feature_names,
+            trained_rows,
+            predictor,
+            engine: BatchEngine::scoped(DEFAULT_MICRO_BATCH, table, &scope),
         })
     }
 
     /// Validate feature counts and finiteness, then predict the batch
-    /// through the cache and micro-batch executor. Response order matches
-    /// request order.
+    /// through the space table and micro-batch executor. Response order
+    /// matches request order.
     pub fn predict_checked(&self, rows: &[Vec<f64>]) -> Result<BatchOutcome, ServeError> {
         crate::batch::validate_rows(self.feature_names.len(), rows)?;
         Ok(self.engine.predict(&*self.predictor, rows))
@@ -138,7 +144,7 @@ impl LoadedModel {
         self.predict_checked(rows).expect("feature count matches")
     }
 
-    /// Direct, cache-bypassing single-row prediction.
+    /// Direct, table-bypassing single-row prediction.
     pub fn predict_row_uncached(&self, row: &[f64]) -> f64 {
         self.predictor.predict_row(row)
     }
@@ -151,7 +157,7 @@ impl LoadedModel {
 
 // A loaded model is a coalescing target for the cross-connection
 // `BatchScheduler`: rows gathered from many concurrent requests run as
-// one batch through this model's own cache + executor, and the per-row
+// one batch through this model's own table + executor, and the per-row
 // hit mask lets the scheduler hand each request back its exact
 // `cache_hits` share.
 impl lam_core::batch::BatchTarget for LoadedModel {
@@ -162,7 +168,7 @@ impl lam_core::batch::BatchTarget for LoadedModel {
 
 // A loaded model is directly usable wherever an object-safe predictor is
 // expected — e.g. as the guiding model of a `lam-tune` strategy. Batch
-// prediction routes through the model's own cache + executor.
+// prediction routes through the model's own table + executor.
 impl PredictRow for LoadedModel {
     fn predict_row(&self, x: &[f64]) -> f64 {
         self.predictor.predict_row(x)

@@ -2,8 +2,9 @@
 //! persist a hybrid model, serve it over a real TCP socket on a random
 //! port, drive it with the load generator, and check the acceptance
 //! properties — order-preserving batched responses that match direct
-//! model predictions, non-zero cached throughput, a catalog that survives
-//! "restart", and clean shutdown.
+//! model predictions, grid rows answered from the space table from the
+//! first request on, a catalog that survives "restart", and clean
+//! shutdown.
 
 use lam_serve::http::{
     self, HealthResponse, ModelsResponse, PredictRequest, PredictResponse, ServerOptions,
@@ -72,7 +73,8 @@ fn serve_restart_predict_and_loadgen_end_to_end() {
         .iter()
         .any(|m| m.workload == "fmm-small" && m.kind == "hybrid" && m.version == 1));
 
-    // /predict answers in request order with the model's own predictions.
+    // /predict answers in request order with the model's own predictions;
+    // grid rows come from the space table on their first request.
     let rows = wid("fmm-small").sample_rows(96);
     let request = PredictRequest {
         workload: "fmm-small".to_string(),
@@ -86,6 +88,7 @@ fn serve_restart_predict_and_loadgen_end_to_end() {
     assert_eq!(status, 200, "body: {body}");
     let response: PredictResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(response.predictions.len(), rows.len());
+    assert_eq!(response.cache_hits, rows.len() as u64);
     for (i, row) in rows.iter().enumerate() {
         let expected = model.predict_row_uncached(row);
         assert_eq!(
@@ -95,13 +98,44 @@ fn serve_restart_predict_and_loadgen_end_to_end() {
         );
     }
 
-    // A second identical request is answered from the prediction cache.
+    // A second identical request is answered from the table again.
     let (_, body) = client
         .post("/predict", &serde_json::to_string(&request).unwrap())
         .unwrap();
     let warm: PredictResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(warm.cache_hits, rows.len() as u64);
     assert_eq!(warm.predictions, response.predictions);
+
+    // Off-grid rows (fractional particle counts) are computed, in order.
+    let off_grid: Vec<Vec<f64>> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut row = row.clone();
+            row[1] += 0.25 + i as f64;
+            row
+        })
+        .collect();
+    let (status, body) = client
+        .post(
+            "/predict",
+            &serde_json::to_string(&PredictRequest {
+                rows: off_grid.clone(),
+                ..request.clone()
+            })
+            .unwrap(),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "body: {body}");
+    let cold: PredictResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(cold.cache_hits, 0);
+    for (i, row) in off_grid.iter().enumerate() {
+        assert_eq!(
+            cold.predictions[i].to_bits(),
+            model.predict_row_uncached(row).to_bits(),
+            "off-grid row {i} out of order or corrupted"
+        );
+    }
 
     // Bad requests are 4xx, not hangs.
     let (status, _) = client.post("/predict", "{not json").unwrap();
@@ -137,7 +171,7 @@ fn serve_restart_predict_and_loadgen_end_to_end() {
         report.throughput
     );
     assert!(report.p99_us >= report.p50_us);
-    assert!(report.cache_hit_fraction > 0.5, "pool rotates into cache");
+    assert!(report.cache_hit_fraction > 0.5, "pool rows are grid rows");
 
     // Clean shutdown: stop() joins all workers without hanging.
     handle.stop();

@@ -55,18 +55,29 @@ fn metrics_cover_the_serving_stack_end_to_end() {
     let addr = handle.local_addr().to_string();
     let mut client = HttpClient::connect(&addr).expect("connects");
 
-    // Drive traffic: a train-on-miss predict, a cached repeat, a 4xx.
-    let request = PredictRequest {
-        workload: "fmm-small".to_string(),
-        kind: "linear".to_string(),
-        version: Some(1),
-        rows: WorkloadId::get("fmm-small").unwrap().sample_rows(16),
-    };
-    let body = serde_json::to_string(&request).unwrap();
-    let (status, _) = client.post("/predict", &body).unwrap();
-    assert_eq!(status, 200);
-    let (status, _) = client.post("/predict", &body).unwrap();
-    assert_eq!(status, 200);
+    // Drive traffic: a train-on-miss predict of off-grid rows (table
+    // misses), a predict of grid rows (table hits), a 4xx.
+    let grid = WorkloadId::get("fmm-small").unwrap().sample_rows(16);
+    let off_grid = grid
+        .iter()
+        .map(|row| {
+            let mut row = row.clone();
+            row[1] += 0.25;
+            row
+        })
+        .collect();
+    for rows in [off_grid, grid] {
+        let request = PredictRequest {
+            workload: "fmm-small".to_string(),
+            kind: "linear".to_string(),
+            version: Some(1),
+            rows,
+        };
+        let (status, _) = client
+            .post("/predict", &serde_json::to_string(&request).unwrap())
+            .unwrap();
+        assert_eq!(status, 200);
+    }
     let (status, _) = client.post("/predict", "{not json").unwrap();
     assert_eq!(status, 400);
 

@@ -1,7 +1,7 @@
 //! End-to-end tests for the event-driven serve core: pipelining with
 //! strict response ordering, graceful drain, load shedding under
 //! overload, slowloris/oversized-head defenses, idle reaping,
-//! cross-connection micro-batch formation, and cache-first dispatch —
+//! cross-connection micro-batch formation, and table-first dispatch —
 //! all over real sockets against a real server.
 
 use lam_obs::trace::TraceContext;
@@ -427,8 +427,8 @@ fn predict_body(kind: &str, rows: Vec<Vec<f64>>) -> String {
 }
 
 /// `n` distinct fmm-small rows off the configuration grid (a fractional
-/// particle count), numbered from `first`: no earlier request has cached
-/// them, so they miss until sent once.
+/// particle count), numbered from `first`: they are not in the model's
+/// space table, so every request for them computes them.
 fn off_grid_rows(first: usize, n: usize) -> Vec<Vec<f64>> {
     let base = wid("fmm-small").sample_rows(1).remove(0);
     (first..first + n)
@@ -486,7 +486,7 @@ fn bits(predictions: &[f64]) -> Vec<u64> {
 fn concurrent_single_row_traffic_forms_cross_connection_batches() {
     let _serial = scheduler_traffic();
     let registry = Arc::new(ModelRegistry::new(temp_root("occupancy")));
-    registry
+    let model = registry
         .get(ModelKey::new(wid("fmm-small"), ModelKind::Linear, 1))
         .expect("trains");
     let mut cfg = base_config(4);
@@ -496,17 +496,21 @@ fn concurrent_single_row_traffic_forms_cross_connection_batches() {
     let handle = http::start_with(Arc::clone(&registry), cfg).expect("binds");
     let addr = handle.local_addr().to_string();
 
-    // Every row is distinct and uncached, so every single-row request
-    // misses and goes through the scheduler: any batching must come from
-    // coalescing across the 4 pipelined connections.
-    let bodies: Vec<String> = off_grid_rows(0, 512)
-        .into_iter()
-        .map(|row| predict_body("linear", vec![row]))
+    // Every row is off the grid, so every single-row request misses the
+    // space table and goes through the scheduler: any batching must come
+    // from coalescing across the 4 pipelined connections.
+    let off_grid = off_grid_rows(0, 512);
+    let bodies: Vec<String> = off_grid
+        .iter()
+        .map(|row| predict_body("linear", vec![row.clone()]))
         .collect();
     let before = scrape(&addr);
     let cold = pipelined_predicts(&addr, &bodies, 4, 8);
     let after = scrape(&addr);
-    assert!(cold.iter().all(|r| r.cache_hits == 0), "rows were cold");
+    assert!(
+        cold.iter().all(|r| r.cache_hits == 0),
+        "rows missed the table"
+    );
     let (c0, s0) = before.histogram_totals("lam_batch_occupancy", None);
     let (c1, s1) = after.histogram_totals("lam_batch_occupancy", None);
     let (flushes, submissions) = (c1 - c0, s1 - s0);
@@ -526,22 +530,37 @@ fn concurrent_single_row_traffic_forms_cross_connection_batches() {
         "the scrape's own connection is registered with the reactor"
     );
 
-    // Twin: the same rows again are all cached, so they are answered on
-    // the handler threads. Hits move; the scheduler sees nothing.
+    // Twin: the same traffic shape over grid rows, which are in the space
+    // table from the model's load on, so they are answered on the handler
+    // threads. Hits move; the scheduler sees nothing.
     let hits = |s: &MetricsScrape| {
         s.counter_with_label("lam_cache_hits_total", ("scope", "fmm-small/linear"))
     };
-    let warm = pipelined_predicts(&addr, &bodies, 4, 8);
+    let grid = wid("fmm-small").sample_rows(bodies.len());
+    let grid_bodies: Vec<String> = grid
+        .iter()
+        .map(|row| predict_body("linear", vec![row.clone()]))
+        .collect();
+    let warm = pipelined_predicts(&addr, &grid_bodies, 4, 8);
     let after_warm = scrape(&addr);
-    assert!(warm.iter().all(|r| r.cache_hits == 1), "rows were warm");
-    assert!(hits(&after_warm) - hits(&after) >= bodies.len() as u64);
+    assert!(
+        warm.iter().all(|r| r.cache_hits == 1),
+        "grid rows hit the table"
+    );
+    assert!(hits(&after_warm) - hits(&after) >= grid_bodies.len() as u64);
     assert_eq!(
         after_warm.histogram_totals("lam_batch_occupancy", None).0,
         c1,
-        "warm single-row traffic must not reach the scheduler"
+        "table-hit single-row traffic must not reach the scheduler"
     );
-    for (w, c) in warm.iter().zip(&cold) {
-        assert_eq!(bits(&w.predictions), bits(&c.predictions));
+    // Both paths answer exactly what the model computes.
+    for (responses, rows) in [(&cold, &off_grid), (&warm, &grid)] {
+        for (r, row) in responses.iter().zip(rows) {
+            assert_eq!(
+                bits(&r.predictions),
+                bits(&[model.predict_row_uncached(row)])
+            );
+        }
     }
     handle.stop();
 }
@@ -567,9 +586,13 @@ fn trace_span_names(addr: &str, ctx: &TraceContext) -> Vec<String> {
 fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
     let _serial = scheduler_traffic();
     let registry = Arc::new(ModelRegistry::new(temp_root("cache_first")));
-    registry
+    let model = registry
         .get(ModelKey::new(wid("fmm-small"), ModelKind::Cart, 1))
         .expect("trains");
+    let direct = |rows: &[Vec<f64>]| {
+        let ys: Vec<f64> = rows.iter().map(|r| model.predict_row_uncached(r)).collect();
+        bits(&ys)
+    };
     let handle = http::start_with(Arc::clone(&registry), base_config(2)).expect("binds");
     let addr = handle.local_addr().to_string();
     let mut client = HttpClient::connect(&addr).expect("connects");
@@ -584,21 +607,31 @@ fn warm_requests_answer_on_the_handler_bit_identically_to_cold_ones() {
         (resp, trace_span_names(&addr, &ctx))
     };
 
-    for rows in [off_grid_rows(1000, 1), off_grid_rows(2000, 32)] {
-        let n = rows.len();
-        let body = predict_body("cart", rows);
-        let (cold, cold_spans) = traced("/predict", &body);
+    // Cold: off-grid rows, computed through the scheduler. Warm: grid
+    // rows, answered from the space table on the handler.
+    for (off_grid, grid) in [
+        (off_grid_rows(1000, 1), wid("fmm-small").sample_rows(1)),
+        (off_grid_rows(2000, 32), wid("fmm-small").sample_rows(32)),
+    ] {
+        let n = grid.len();
+        let (cold, cold_spans) = traced("/predict", &predict_body("cart", off_grid.clone()));
         assert_eq!(cold.cache_hits, 0, "{n} rows were cold");
         assert!(
             cold_spans.iter().any(|s| s == "serve.queue"),
             "a cold {n}-row request is coalesced: {cold_spans:?}"
         );
+        let body = predict_body("cart", grid.clone());
         let (warm, warm_spans) = traced("/predict", &body);
         assert_eq!(warm.cache_hits, n as u64, "{n} rows were warm");
         assert_eq!(
-            bits(&warm.predictions),
             bits(&cold.predictions),
-            "warm {n}-row answer differs from the cold one"
+            direct(&off_grid),
+            "cold {n}-row answer differs from the model's"
+        );
+        assert_eq!(
+            bits(&warm.predictions),
+            direct(&grid),
+            "warm {n}-row answer differs from the model's"
         );
         assert!(
             warm_spans.iter().any(|s| s == "serve.predict")

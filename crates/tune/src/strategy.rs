@@ -108,12 +108,12 @@ pub fn all_strategies() -> Vec<Box<dyn Tuner>> {
 /// The stable names [`by_name`] resolves, in canonical order.
 pub const STRATEGY_NAMES: [&str; 4] = ["exhaustive", "random", "local", "halving"];
 
-/// Model-score `rows`. Sets larger than one micro-batch go through the
-/// shared executor for the parallel fan-out; small sets (a local-search
-/// frontier, a random sample) skip its cache and shard setup — within
-/// one call every row is distinct, so the cache could never hit anyway —
-/// but still call the model's own batch entry point, so arena-compiled
-/// guides evaluate the frontier block-wise instead of row at a time.
+/// Model-score `rows`. Sets larger than one micro-batch go through a
+/// plain executor (no space table: the guide is scored, never looked
+/// up) for the parallel fan-out; small sets (a local-search frontier, a
+/// random sample) skip even that and call the model's own batch entry
+/// point, so arena-compiled guides evaluate the frontier block-wise
+/// instead of row at a time.
 pub(crate) fn score_rows(model: &dyn PredictRow, rows: &[Vec<f64>]) -> Vec<f64> {
     if rows.len() <= lam_core::batch::DEFAULT_MICRO_BATCH {
         model.predict_rows(rows)
@@ -214,7 +214,7 @@ impl Tuner for ExhaustiveRank {
     ) -> Result<TuneReport, TuneError> {
         request.validate(workload)?;
         let rows = workload.feature_rows();
-        let engine = BatchEngine::new(self.micro_batch, self.micro_batch);
+        let engine = BatchEngine::new(self.micro_batch);
         let predictions = engine.predict(model, &rows).predictions;
         let scored: BTreeMap<usize, f64> = predictions.iter().copied().enumerate().collect();
         let mut oracle = BudgetedOracle::new(workload, request.budget);

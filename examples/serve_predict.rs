@@ -55,14 +55,28 @@ fn main() {
         println!("  (t, N, q, k) = {row:?}  ->  {prediction:.6} s");
     }
 
-    // 4. The same batch again is pure cache hits.
-    let (_, warm) = client.post("/predict", &body).expect("second request");
-    let warm: PredictResponse = serde_json::from_str(&warm).expect("response parses");
+    // 4. Those rows are configurations of the workload's space, so they
+    //    came from the model's space table, predicted once when the model
+    //    loaded. A row off the grid (a fractional particle count) is
+    //    computed instead, on every request.
     println!(
-        "second call: {}/{} rows from the prediction cache in {}us",
-        warm.cache_hits,
+        "grid rows: {}/{} from the space table in {}us",
+        response.cache_hits,
         rows.len(),
-        warm.micros
+        response.micros
+    );
+    let mut off_grid = rows[0].clone();
+    off_grid[1] += 0.5;
+    let body = serde_json::to_string(&PredictRequest {
+        rows: vec![off_grid],
+        ..request
+    })
+    .expect("request serializes");
+    let (_, cold) = client.post("/predict", &body).expect("second request");
+    let cold: PredictResponse = serde_json::from_str(&cold).expect("response parses");
+    println!(
+        "off-grid row: {} from the space table, computed in {}us",
+        cold.cache_hits, cold.micros
     );
 
     handle.stop();
